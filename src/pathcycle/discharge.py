@@ -28,9 +28,8 @@ from typing import Iterable
 
 from .factor import degree_spec_from_terminals
 from .graphs import Graph, as_vertex_set
-from .tutte import delta as tutte_delta
-from .tutte import odd_components
-from .verify import check_regular, edge_connectivity, find_induced_star
+from .tutte import _pair_profile
+from .verify import check_regular, check_terminal_set, edge_connectivity, find_induced_star
 
 
 @dataclass(frozen=True)
@@ -87,28 +86,51 @@ class GraphHypotheses:
 
 @dataclass(frozen=True)
 class ChargeState:
-    """Initial and final charges of one discharge run."""
+    """Initial and final charges of one discharge run.
+
+    Charges are stored as integer numerators over ``scale`` = r(r-1); the
+    ``initial_*`` and ``final_*`` properties give them as exact fractions.
+    """
 
     s1: tuple[int, ...]
     s2: tuple[int, ...]
     t: tuple[int, ...]
     u: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    initial_vertex: dict[int, Fraction]
-    initial_component: tuple[Fraction, ...]
-    final_vertex: dict[int, Fraction]
-    final_component: tuple[Fraction, ...]
+    scale: int
+    initial_vertex_num: dict[int, int]
+    initial_component_num: tuple[int, ...]
+    final_vertex_num: dict[int, int]
+    final_component_num: tuple[int, ...]
+
+    @property
+    def initial_vertex(self) -> dict[int, Fraction]:
+        return {v: Fraction(c, self.scale) for v, c in self.initial_vertex_num.items()}
+
+    @property
+    def initial_component(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.scale) for c in self.initial_component_num)
+
+    @property
+    def final_vertex(self) -> dict[int, Fraction]:
+        return {v: Fraction(c, self.scale) for v, c in self.final_vertex_num.items()}
+
+    @property
+    def final_component(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.scale) for c in self.final_component_num)
 
     @property
     def total_initial(self) -> Fraction:
-        return sum(self.initial_vertex.values(), Fraction(0)) + sum(
-            self.initial_component, Fraction(0)
+        return Fraction(
+            sum(self.initial_vertex_num.values()) + sum(self.initial_component_num),
+            self.scale,
         )
 
     @property
     def total_final(self) -> Fraction:
-        return sum(self.final_vertex.values(), Fraction(0)) + sum(
-            self.final_component, Fraction(0)
+        return Fraction(
+            sum(self.final_vertex_num.values()) + sum(self.final_component_num),
+            self.scale,
         )
 
 
@@ -205,16 +227,12 @@ def discharge(
     if hypotheses is None:
         hypotheses = GraphHypotheses.compute(g, r)
 
-    q, comps = odd_components(g, f, ss, ts)
-    comp_id = {}
-    for j, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = j
-    u_set = frozenset(comp_id)
-    s_set, t_set = set(ss), set(ts)
-    wset = set(ws)
-    s1 = tuple(v for v in ss if v in wset)
-    s2 = tuple(v for v in ss if v not in wset)
+    prof = _pair_profile(g, f, ss, ts)
+    comps, comp_id, side = prof.odd, prof.comp_id, prof.side
+    q = len(comps)
+    targets = f.targets  # 1 on W, 2 elsewhere
+    s1 = tuple(v for v in ss if targets[v] == 1)
+    s2 = tuple(v for v in ss if targets[v] != 1)
 
     scale = r * (r - 1)
     amt_s1 = r - 1              # 1/r
@@ -222,60 +240,56 @@ def discharge(
     amt_s_comp = r - 1          # 1/r
     amt_comp_t = (r - 1) ** 2   # (r-1)/r
 
+    # Every transfer has an endpoint in S or T, so walking N(T) and then
+    # N(S) moves all of them.
     init_v: dict[int, int] = {}
     for v in s1:
         init_v[v] = scale
     for v in s2:
         init_v[v] = 2 * scale
-    for y in ts:
-        outside = sum(
-            1 for x in g.neighbors(y) if x not in s_set and x not in u_set
-        )
-        init_v[y] = outside * scale
     init_c = [0] * q
-
+    final_c = [0] * q
+    t_gain = []
+    t_independent = True
+    for y in ts:
+        outside = 0
+        gain = 0
+        for x in g.neighbors(y):
+            mark = side[x]
+            if mark == 1:
+                continue
+            j = comp_id.get(x)
+            if j is None:
+                outside += 1
+                if mark == 2:
+                    t_independent = False
+            else:
+                final_c[j] -= amt_comp_t
+                gain += amt_comp_t
+        init_v[y] = outside * scale
+        t_gain.append(gain)
     final_v = dict(init_v)
-    final_c = list(init_c)
-    for x, y in g.edges:
-        for a, b in ((x, y), (y, x)):
-            if a in s_set:
-                one = a in wset
-                if b in t_set:
-                    amt = amt_s1 if one else amt_s2_t
-                    final_v[a] -= amt
-                    final_v[b] += amt
-                elif b in u_set:
+    for y, gain in zip(ts, t_gain):
+        final_v[y] += gain
+    for a in ss:
+        to_t = amt_s1 if targets[a] == 1 else amt_s2_t
+        for b in g.neighbors(a):
+            if side[b] == 2:
+                final_v[a] -= to_t
+                final_v[b] += to_t
+            else:
+                j = comp_id.get(b)
+                if j is not None:
                     final_v[a] -= amt_s_comp
-                    final_c[comp_id[b]] += amt_s_comp
-            elif a in u_set and b in t_set:
-                final_c[comp_id[a]] -= amt_comp_t
-                final_v[b] += amt_comp_t
+                    final_c[j] += amt_s_comp
 
-    state = ChargeState(
-        s1=s1,
-        s2=s2,
-        t=ts,
-        u=tuple(sorted(u_set)),
-        components=tuple(comps),
-        initial_vertex={v: Fraction(c, scale) for v, c in init_v.items()},
-        initial_component=tuple(Fraction(c, scale) for c in init_c),
-        final_vertex={v: Fraction(c, scale) for v, c in final_v.items()},
-        final_component=tuple(Fraction(c, scale) for c in final_c),
-    )
+    e_t_u = sum(prof.e_t)
+    init_total = sum(init_v.values())
+    conservation = init_total + sum(init_c) == sum(final_v.values()) + sum(final_c)
+    identity_lhs = Fraction(init_total, scale)
+    identity_rhs = f.subset_sum(ss) + prof.deg_gs_t - e_t_u
 
-    conservation = sum(init_v.values()) + sum(init_c) == sum(final_v.values()) + sum(
-        final_c
-    )
-
-    deg_gs_t = sum(1 for y in ts for x in g.neighbors(y) if x not in s_set)
-    e_t_u = sum(1 for y in ts for x in g.neighbors(y) if x in u_set)
-    identity_lhs = Fraction(sum(init_v.values()), scale)
-    identity_rhs = f.subset_sum(ss) + deg_gs_t - e_t_u
-
-    t_independent = all(not g.has_edge(a, b) for a in ts for b in ts if a < b)
-    nbhd1 = all(
-        sum(1 for x in g.neighbors(v) if x in wset) <= 1 for v in range(g.n)
-    )
+    nbhd1 = check_terminal_set(g, ws, "nbhd1").holds is True
 
     def claim(name, holds, first, needed: dict[str, bool]) -> ClaimCheck:
         missing = tuple(k for k, ok in needed.items() if not ok)
@@ -302,12 +316,7 @@ def discharge(
             "terminal nbhd1": nbhd1,
         },
     )
-    e_t_comp = [0] * q
-    for y in ts:
-        for x in g.neighbors(y):
-            j = comp_id.get(x)
-            if j is not None:
-                e_t_comp[j] += 1
+    e_t_comp = prof.e_t
     viol5 = next(
         (j for j in range(q) if final_c[j] < scale * (1 - e_t_comp[j])),
         None,
@@ -325,7 +334,19 @@ def discharge(
     if numerator % scale != 0:
         raise AssertionError("reconstructed deficiency is not an integer")
     derived = numerator // scale
-    direct = tutte_delta(g, f, ss, ts)
+
+    state = ChargeState(
+        s1=s1,
+        s2=s2,
+        t=ts,
+        u=tuple(sorted(comp_id)),
+        components=tuple(comps),
+        scale=scale,
+        initial_vertex_num=init_v,
+        initial_component_num=tuple(init_c),
+        final_vertex_num=final_v,
+        final_component_num=tuple(final_c),
+    )
 
     return DischargeReport(
         r=r,
@@ -340,5 +361,5 @@ def discharge(
         claim_t_at_least_two=claim4,
         claim_component_bound=claim5,
         derived_delta=derived,
-        direct_delta=direct,
+        direct_delta=prof.delta,
     )

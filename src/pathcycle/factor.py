@@ -180,7 +180,8 @@ def matching_from_factor(gg: GadgetGraph, factor: FFactor) -> Matching:
             mate[p] = c
             mate[c] = p
     m = Matching.from_mates(mate)
-    assert m.is_perfect(gg.graph)
+    if not m.is_perfect(gg.graph):
+        raise AssertionError("gadget matching from the factor is not perfect")
     return m
 
 

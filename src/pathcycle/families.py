@@ -479,7 +479,8 @@ def _glued_family(
     pool = list(range(2 * n_apex, x1_count)) + list(
         range(x2_start, x2_start + h2_x_count)
     )
-    assert len(pool) == n_apex * (r - 3)
+    if len(pool) != n_apex * (r - 3):
+        raise AssertionError("apex pool does not split into r - 3 vertices per apex")
     a_sets = []
     for i in range(n_apex):
         a_sets.append(
@@ -492,8 +493,10 @@ def _glued_family(
         for v in a_sets[i]:
             edges.add(_norm(a1, v))
             edges.add(_norm(a2, v))
-    assert len(b_sets) == n_apex
-    assert sorted(v for bs in b_sets for v in bs) == list(range(y_count))
+    if len(b_sets) != n_apex:
+        raise AssertionError("one b-set per apex is required")
+    if sorted(v for bs in b_sets for v in bs) != list(range(y_count)):
+        raise AssertionError("b-sets must partition the y labels")
     for i in range(n_apex):
         b1, b2 = b_start + 2 * i, b_start + 2 * i + 1
         edges.add(_norm(b1, b2))
@@ -614,8 +617,8 @@ def _permute_labels(
 ) -> list[int]:
     """Bijection label -> subdivision vertex sending ``labels[i]`` to
     ``subdivisions[i]`` and everything else in ascending order."""
-    assert len(set(labels)) == len(labels)
-    assert len(set(subdivisions)) == len(subdivisions)
+    if len(set(labels)) != len(labels) or len(set(subdivisions)) != len(subdivisions):
+        raise AssertionError("labels and subdivisions must be duplicate-free")
     perm = [-1] * y_count
     taken = set(subdivisions)
     for lab, sub in zip(labels, subdivisions):

@@ -21,6 +21,11 @@ from .errors import GraphFormatError
 #: Sentinel returned by :func:`distance` for vertices in different components.
 INFINITY = float("inf")
 
+#: Largest vertex count :func:`parse_graph` accepts.  A larger header is
+#: rejected before anything is allocated for it; the largest family
+#: instance has 864 vertices.
+MAX_PARSE_VERTICES = 1_000_000
+
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -136,6 +141,10 @@ def parse_graph(text: str | bytes) -> Graph:
                 raise GraphFormatError("non-integer header field", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("negative count in header", lineno)
+            if n > MAX_PARSE_VERTICES:
+                raise GraphFormatError(
+                    f"{n} vertices exceeds the limit of {MAX_PARSE_VERTICES}", lineno
+                )
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge line before 'p' header", lineno)

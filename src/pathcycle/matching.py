@@ -50,7 +50,8 @@ def maximum_matching(g: Graph) -> Matching:
     mate = _maximum_matching_mates(g.n, g._adj)
     matching = Matching.from_mates(mate)
     for u, v in matching.pairs:
-        assert g.has_edge(u, v)
+        if not g.has_edge(u, v):
+            raise AssertionError(f"matched pair ({u},{v}) is not an edge")
     return matching
 
 

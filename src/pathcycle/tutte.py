@@ -8,17 +8,20 @@ where q counts the components D of G - (S u T) with f(V(D)) + e(D, T) odd.
 An f-factor exists iff delta(S, T) >= 0 for every disjoint pair, and
 delta always has the parity of f(V(G)).  A pair with delta < 0 is an
 infeasibility certificate that can be replayed in linear time.
+
+Every pair-level query (:func:`odd_components`, :func:`delta`,
+:func:`evaluate_pair`, :meth:`TutteCertificate.validate` and the discharge
+verifier) reads one traversal of G - (S u T) made by :func:`_pair_profile`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ._certkernel import least_violation
 from .errors import GraphFormatError, UndecidedAtScaleError
 from .factor import DegreeSpec
-from .graphs import Graph, as_vertex_set, components_after_removal, edge_count_between
+from .graphs import Graph, as_vertex_set
 
 
 def _disjoint_sets(
@@ -32,31 +35,83 @@ def _disjoint_sets(
     return ss, ts
 
 
+class _PairProfile(NamedTuple):
+    """What the pair-level checks read about G - (S u T), from one BFS.
+
+    ``odd`` lists the f-odd components as sorted tuples by ascending least
+    vertex, ``e_t`` holds e(D, T) for each of them, ``comp_id`` maps every
+    odd-component vertex to its index in ``odd``, and ``side`` marks each
+    vertex as in S (1), in T (2) or elsewhere (3).
+    """
+
+    s: tuple[int, ...]
+    t: tuple[int, ...]
+    side: bytearray
+    odd: list[tuple[int, ...]]
+    e_t: list[int]
+    comp_id: dict[int, int]
+    deg_gs_t: int
+    delta: int
+
+
+def _pair_profile(
+    g: Graph, f: DegreeSpec, s: Iterable[int], t: Iterable[int]
+) -> _PairProfile:
+    """One traversal of G - (S u T): odd components, e(D, T), deg_{G-S}(T), delta."""
+    ss, ts = _disjoint_sets(g, s, t)
+    adj = g._adj
+    targets = f.targets
+    side = bytearray(g.n)
+    for v in ss:
+        side[v] = 1
+    for v in ts:
+        side[v] = 2
+    odd: list[tuple[int, ...]] = []
+    e_t: list[int] = []
+    comp_id: dict[int, int] = {}
+    start = side.find(0)
+    while start >= 0:
+        side[start] = 3
+        comp = [start]
+        fsum = 0
+        et = 0
+        for u in comp:  # grows while it is walked
+            fsum += targets[u]
+            for v in adj[u]:
+                mark = side[v]
+                if not mark:
+                    side[v] = 3
+                    comp.append(v)
+                elif mark == 2:
+                    et += 1
+        if (fsum + et) & 1:
+            comp_id.update(dict.fromkeys(comp, len(odd)))
+            comp.sort()
+            odd.append(tuple(comp))
+            e_t.append(et)
+        start = side.find(0, start + 1)
+    deg_gs_t = 0
+    for y in ts:
+        for x in adj[y]:
+            if side[x] != 1:
+                deg_gs_t += 1
+    value = sum(targets[v] for v in ss) + deg_gs_t - sum(targets[v] for v in ts) - len(odd)
+    if (value - f.total) % 2 != 0:
+        raise AssertionError("deficiency parity disagrees with f(V(G))")
+    return _PairProfile(ss, ts, side, odd, e_t, comp_id, deg_gs_t, value)
+
+
 def odd_components(
     g: Graph, f: DegreeSpec, s: Iterable[int], t: Iterable[int]
 ) -> tuple[int, list[tuple[int, ...]]]:
     """The f-odd components of G - (S u T): those D with f(V(D)) + e(D,T) odd."""
-    ss, ts = _disjoint_sets(g, s, t)
-    odd = [
-        comp
-        for comp in components_after_removal(g, ss + ts)
-        if (f.subset_sum(comp) + edge_count_between(g, comp, ts)) % 2 == 1
-    ]
+    odd = _pair_profile(g, f, s, t).odd
     return len(odd), odd
 
 
 def delta(g: Graph, f: DegreeSpec, s: Iterable[int], t: Iterable[int]) -> int:
     """Exact deficiency of the pair (S, T)."""
-    ss, ts = _disjoint_sets(g, s, t)
-    s_set = set(ss)
-    q, _ = odd_components(g, f, ss, ts)
-    deg_gs_t = sum(
-        1 for y in ts for x in g.neighbors(y) if x not in s_set
-    )
-    value = f.subset_sum(ss) + deg_gs_t - f.subset_sum(ts) - q
-    if (value - f.total) % 2 != 0:
-        raise AssertionError("deficiency parity disagrees with f(V(G))")
-    return value
+    return _pair_profile(g, f, s, t).delta
 
 
 @dataclass(frozen=True)
@@ -73,10 +128,10 @@ class TutteCertificate:
         return len(self.odd_components)
 
     def validate(self, g: Graph, f: DegreeSpec) -> None:
-        q, comps = odd_components(g, f, self.s, self.t)
-        if tuple(comps) != self.odd_components:
+        prof = _pair_profile(g, f, self.s, self.t)
+        if tuple(prof.odd) != self.odd_components:
             raise AssertionError("stored odd components do not recompute")
-        if delta(g, f, self.s, self.t) != self.delta:
+        if prof.delta != self.delta:
             raise AssertionError("stored deficiency does not recompute")
 
 
@@ -84,9 +139,8 @@ def evaluate_pair(
     g: Graph, f: DegreeSpec, s: Iterable[int], t: Iterable[int]
 ) -> TutteCertificate:
     """Deficiency and odd components of a given pair, packaged for replay."""
-    ss, ts = _disjoint_sets(g, s, t)
-    q, comps = odd_components(g, f, ss, ts)
-    return TutteCertificate(ss, ts, delta(g, f, ss, ts), tuple(comps))
+    prof = _pair_profile(g, f, s, t)
+    return TutteCertificate(prof.s, prof.t, prof.delta, tuple(prof.odd))
 
 
 # -- exhaustive search ------------------------------------------------------
@@ -113,6 +167,8 @@ def search_certificate(
         )
     if len(f) != g.n:
         raise ValueError("degree spec length does not match vertex count")
+    from ._certkernel import least_violation  # numpy loads only for a scan
+
     least = least_violation(g, f)
     if least is None:
         return None

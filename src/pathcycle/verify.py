@@ -106,7 +106,8 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     cut = tuple(
         e for e in g.edges if (e[0] in best_side) != (e[1] in best_side)
     )
-    assert len(cut) == best, "residual cut size must equal the flow value"
+    if len(cut) != best:
+        raise AssertionError("residual cut size must equal the flow value")
     return best, cut
 
 
@@ -292,11 +293,18 @@ def check_terminal_set(g: Graph, w: Iterable[int], mode: str) -> PropertyReport:
     wset = set(ws)
 
     def nbhd1_violation() -> tuple[int, tuple[int, ...]] | None:
-        for v in range(g.n):
-            inside = [u for u in g.neighbors(v) if u in wset]
-            if len(inside) > 1:
-                return v, tuple(inside)
-        return None
+        # only neighbours of W can see two terminals: O(|W| r), least one wins
+        reached: set[int] = set()
+        least = None
+        for a in ws:
+            for v in g.neighbors(a):
+                if v not in reached:
+                    reached.add(v)
+                elif least is None or v < least:
+                    least = v
+        if least is None:
+            return None
+        return least, tuple(u for u in g.neighbors(least) if u in wset)
 
     if mode == "nbhd1":
         bad = nbhd1_violation()

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from pathcycle.graphs import Graph, is_connected
+from pathcycle.graphs import Graph, components_after_removal, is_connected
 
 
 # -- tiny named graphs -------------------------------------------------------
@@ -80,6 +80,55 @@ def naive_least_violation(g: Graph, f):
     if best is None:
         return None
     return best[1], best[2]
+
+
+def naive_pair_evaluation(g: Graph, f, s, t) -> dict:
+    """Deficiency terms of (S, T), one BFS per component and set-based
+    e(D, T), independent of the pair evaluator in ``pathcycle.tutte``."""
+    s_set, t_set = set(s), set(t)
+    odd = []
+    e_t = []
+    for comp in components_after_removal(g, s_set | t_set):
+        members = set(comp)
+        e = sum(1 for y in t_set for x in g.neighbors(y) if x in members)
+        if (sum(f[v] for v in comp) + e) % 2 == 1:
+            odd.append(comp)
+            e_t.append(e)
+    deg_gs_t = sum(1 for y in t_set for x in g.neighbors(y) if x not in s_set)
+    delta = sum(f[v] for v in s_set) + deg_gs_t - sum(f[v] for v in t_set) - len(odd)
+    return {
+        "odd": odd,
+        "e_t": e_t,
+        "u": tuple(sorted(v for comp in odd for v in comp)),
+        "deg_gs_t": deg_gs_t,
+        "delta": delta,
+    }
+
+
+def naive_nbhd1_violation(g: Graph, w):
+    """Least vertex with two or more neighbours in W, with those
+    neighbours, from a scan of every vertex; None when there is none."""
+    wset = set(w)
+    for v in range(g.n):
+        inside = tuple(u for u in g.neighbors(v) if u in wset)
+        if len(inside) > 1:
+            return v, inside
+    return None
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p), possibly disconnected."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def random_pair(rng: random.Random, n: int) -> tuple[list[int], list[int]]:
+    """Disjoint S and T in random order; either may be empty and T need not
+    be independent."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    k = rng.randrange(n + 1)
+    cut = rng.randrange(k + 1)
+    return perm[:cut], perm[cut:k]
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:

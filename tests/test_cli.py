@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pathcycle.cli import run
@@ -210,6 +215,23 @@ def test_bad_graph_file_reports_usage_error(files, empty_w, capsys):
     bad = files("bad.graph", "p 2 1\ne 0 0\n")
     assert run(["solve", "--graph", bad, "--terminals", empty_w]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_vertex_count_above_cap_is_usage_error(files, empty_w, capsys):
+    huge = files("huge.graph", "p 1000000000 0\n")
+    assert run(["solve", "--graph", huge, "--terminals", empty_w]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is loaded only by the exhaustive certificate scan
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; import pathcycle.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_missing_file(empty_w):

@@ -12,7 +12,16 @@ from pathcycle.factor import degree_spec_from_terminals
 from pathcycle.families import random_valid_instance
 from pathcycle.tutte import delta
 
-from .conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from .conftest import (
+    cycle_graph,
+    naive_nbhd1_violation,
+    naive_pair_evaluation,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+    random_pair,
+    star_graph,
+)
 
 
 # -- rule constants -----------------------------------------------------------
@@ -81,6 +90,66 @@ def test_derived_delta_matches_direct_evaluation():
         rep = discharge(g, w, s, t, 5, hypotheses=hyp)
         f = degree_spec_from_terminals(g, w)
         assert rep.derived_delta == delta(g, f, s, t)
+
+
+def _naive_final_charges(g, w, s, t, r, odd):
+    """Final charges from one pass over every edge in both directions."""
+    rc = rule_constants(r)
+    comp_of = {v: j for j, comp in enumerate(odd) for v in comp}
+    final = {v: Fraction(1 if v in w else 2) for v in s}
+    for y in t:
+        final[y] = Fraction(sum(1 for x in g.neighbors(y) if x not in s and x not in comp_of))
+    final_c = [Fraction(0)] * len(odd)
+    for x, y in g.edges:
+        for a, b in ((x, y), (y, x)):
+            if a in s and b in t:
+                amt = rc.s1_to_neighbor if a in w else rc.s2_to_terminal
+                final[a] -= amt
+                final[b] += amt
+            elif a in s and b in comp_of:
+                final[a] -= rc.s1_to_neighbor
+                final_c[comp_of[b]] += rc.s1_to_neighbor
+            elif a in comp_of and b in t:
+                final_c[comp_of[a]] -= rc.component_to_terminal
+                final[b] += rc.component_to_terminal
+    return final, tuple(final_c)
+
+
+def test_discharge_matches_naive_pair_evaluation():
+    rng = random.Random(47)
+    hyp = GraphHypotheses(r=4, regular=False, star_free=False, edge_connected=False)
+    seen = set()
+    for i in range(300):
+        n = rng.randrange(0, 16)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.6))
+        w = rng.sample(range(n), 2 * rng.randrange(n // 2 + 1))
+        s, t = random_pair(rng, n)
+        r = 4 + i % 3
+        rep = discharge(g, w, s, t, r, hypotheses=hyp)
+        f = degree_spec_from_terminals(g, w)
+        want = naive_pair_evaluation(g, f, s, t)
+        key = (g.edges, w, s, t)
+        assert rep.state.components == tuple(want["odd"]), key
+        assert rep.state.u == want["u"], key
+        assert rep.derived_delta == rep.direct_delta == want["delta"], key
+        assert rep.identity_rhs == f.subset_sum(s) + want["deg_gs_t"] - sum(want["e_t"]), key
+        final, final_c = _naive_final_charges(g, set(w), set(s), set(t), r, want["odd"])
+        assert rep.state.final_vertex == final, key
+        assert rep.state.final_component == final_c, key
+        bound = all(c >= 1 - e for c, e in zip(final_c, want["e_t"]))
+        assert rep.claim_component_bound.holds == bound, key
+        assert rep.terminal_nbhd1 == (naive_nbhd1_violation(g, w) is None), key
+        adjacent_t = any(g.has_edge(a, b) for a in t for b in t)
+        assert rep.t_independent == (not adjacent_t), key
+        assert rep.conservation_ok and rep.identity_ok, key
+        seen.update({
+            "adjacent T" if adjacent_t else "independent T",
+            "nbhd1" if rep.terminal_nbhd1 else "not nbhd1",
+            "component bound fails" if not bound else "component bound holds",
+            "S empty" if not s else "S",
+            "T empty" if not t else "T",
+        })
+    assert len(seen) == 10, seen
 
 
 def test_charge_denominators_divide_r_times_r_minus_1():

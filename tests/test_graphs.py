@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from pathcycle.errors import GraphFormatError
 from pathcycle.graphs import (
     INFINITY,
+    MAX_PARSE_VERTICES,
     Graph,
     components_after_removal,
     distance,
@@ -91,6 +92,13 @@ def test_parse_edge_count_mismatch():
 def test_parse_missing_header():
     with pytest.raises(GraphFormatError, match="header"):
         parse_graph("e 0 1\n")
+
+
+def test_parse_rejects_vertex_count_above_cap():
+    with pytest.raises(GraphFormatError, match="exceeds the limit"):
+        parse_graph(f"p {MAX_PARSE_VERTICES + 1} 0\n")
+    with pytest.raises(GraphFormatError, match="exceeds the limit"):
+        parse_graph("p 1000000000 0\n")
 
 
 def test_parse_skips_comments():

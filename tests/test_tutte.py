@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from pathcycle import _certkernel
 from pathcycle._certkernel import least_violation, scan_min_violation_size
 from pathcycle.errors import GraphFormatError, UndecidedAtScaleError
 from pathcycle.factor import DegreeSpec, brute_force_f_factor, degree_spec_from_terminals
-from pathcycle.graphs import Graph
+from pathcycle.graphs import Graph, is_connected
 from pathcycle.tutte import (
     TutteCertificate,
     delta,
@@ -21,7 +22,10 @@ from .conftest import (
     complete_graph,
     cycle_graph,
     naive_least_violation,
+    naive_pair_evaluation,
     random_connected_graph,
+    random_graph,
+    random_pair,
     sample_even_terminal_sets,
 )
 
@@ -59,6 +63,46 @@ def test_deficiency_parity_matches_total():
         s = tuple(v for v in range(8) if rng.random() < 0.25)
         t = tuple(v for v in range(8) if v not in set(s) and rng.random() < 0.25)
         assert (delta(g, f, s, t) - f.total) % 2 == 0
+
+
+def test_pair_evaluator_matches_naive_reference():
+    rng = random.Random(43)
+    seen = set()
+    for i in range(400):
+        n = rng.randrange(0, 16)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.6))
+        if i % 2:
+            f = DegreeSpec(tuple(rng.randrange(g.degree(v) + 3) for v in range(n)))
+        else:
+            w = rng.sample(range(n), 2 * rng.randrange(n // 2 + 1))
+            f = degree_spec_from_terminals(g, w)
+        s, t = random_pair(rng, n)
+        want = naive_pair_evaluation(g, f, s, t)
+        key = (g.edges, f.targets, s, t)
+        assert odd_components(g, f, s, t) == (len(want["odd"]), want["odd"]), key
+        assert delta(g, f, s, t) == want["delta"], key
+        cert = evaluate_pair(g, f, s, t)
+        assert cert == TutteCertificate(
+            tuple(sorted(s)), tuple(sorted(t)), want["delta"], tuple(want["odd"])
+        ), key
+        cert.validate(g, f)
+        with pytest.raises(AssertionError, match="deficiency"):
+            dataclasses.replace(cert, delta=cert.delta + 2).validate(g, f)
+        if cert.odd_components:
+            with pytest.raises(AssertionError, match="components"):
+                dataclasses.replace(cert, odd_components=cert.odd_components[1:]).validate(g, f)
+        seen.add("general f" if i % 2 else "terminal f")
+        seen.add("disconnected" if n and not is_connected(g) else "connected")
+        seen.add("S empty" if not s else "S")
+        seen.add("T empty" if not t else "T")
+        if any(g.has_edge(a, b) for a in t for b in t):
+            seen.add("T adjacent")
+        if len(want["odd"]) >= 2:
+            seen.add("several odd")
+    assert seen == {
+        "general f", "terminal f", "disconnected", "connected", "S empty", "S",
+        "T empty", "T", "T adjacent", "several odd",
+    }
 
 
 # -- certificate search ------------------------------------------------------------

@@ -16,9 +16,11 @@ from pathcycle.verify import (
 from .conftest import (
     complete_graph,
     cycle_graph,
+    naive_nbhd1_violation,
     path_graph,
     petersen_graph,
     random_connected_graph,
+    random_graph,
     star_graph,
 )
 
@@ -193,6 +195,22 @@ def test_distance3_implies_nbhd1():
         if check_terminal_set(g, w, "distance3").holds:
             hits += 1
             assert check_terminal_set(g, w, "nbhd1").holds
+
+
+def test_nbhd1_witness_matches_full_scan():
+    # the scan walks only N(W); it must still name the least violating vertex
+    rng = random.Random(53)
+    outcomes = set()
+    for i in range(300):
+        n = rng.randrange(0, 16)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        w = tuple(rng.sample(range(n), 2 * rng.randrange(n // 2 + 1)))
+        want = naive_nbhd1_violation(g, w)
+        rep = check_terminal_set(g, w, "nbhd1")
+        assert rep.holds is (want is None), (g.edges, w)
+        assert rep.witness == want, (g.edges, w)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 # -- path-system criterion -----------------------------------------------------------
