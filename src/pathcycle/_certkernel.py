@@ -4,9 +4,8 @@ For every removal set R = S u T and every split of R into (S, T), evaluates
 
     delta(S, T) = f(S) + deg_{G-S}(T) - f(T) - q(S, T)
 
-and finds the violations delta < 0: :func:`scan_min_violation_size` gives
-the smallest |S| + |T| of one, or -1 when none exists, and
-:func:`least_violation` the least violating pair under (|S| + |T|, S, T).
+and finds the violations delta < 0: :func:`least_violation` gives the
+least violating pair under (|S| + |T|, S, T), or ``None`` when none exists.
 
 The 3^n pairs are evaluated with numpy.  Tables over all 2^n vertex sets X
 are built once per call: f(X), the number e(X) of edges inside X, and
@@ -141,15 +140,6 @@ class _Scan:
         split, col = np.nonzero(d < 0)
         s = t[split, col]
         return s, s ^ rs[col]
-
-
-def scan_min_violation_size(g, f, *, jobs: int = 1) -> int:
-    """Smallest |S|+|T| over violating pairs of ``g`` under spec ``f``; -1 if none.
-
-    ``jobs`` is accepted for compatibility and has no effect.
-    """
-    least = least_violation(g, f)
-    return -1 if least is None else len(least[0]) + len(least[1])
 
 
 def least_violation(g, f) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

@@ -80,7 +80,7 @@ def _cmd_certify(args) -> int:
     w = _read_terminals(args.terminals, g)
     f = degree_spec_from_terminals(g, w)
     if args.exhaustive:
-        cert = search_certificate(g, f, max_vertices=args.max_vertices, jobs=args.jobs)
+        cert = search_certificate(g, f)
         if cert is None:
             print("NO-CERTIFICATE")
             return EXIT_OK
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness")
     p.add_argument("--s")
     p.add_argument("--t")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-    p.add_argument("--max-vertices", type=int, default=14)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="structural property checks")

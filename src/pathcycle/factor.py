@@ -3,10 +3,11 @@
 A graph has a spanning path-cycle system with path end-vertices exactly W
 iff it has a factor F with deg_F = 1 on W and 2 elsewhere.  Factors with a
 prescribed degree function f are found through the classical gadget
-reduction to perfect matching: each vertex v becomes deg(v) edge ports
-plus deg(v) - f(v) core vertices, ports joined completely to cores of the
-same vertex, and each original edge joins its two ports.  Perfect
-matchings of the gadget correspond to f-factors of the original graph.
+reduction to perfect matching (W. T. Tutte, Canad. J. Math. 6, 1954): each
+vertex v becomes deg(v) edge ports plus deg(v) - f(v) core vertices, ports
+joined completely to cores of the same vertex, and each original edge joins
+its two ports.  Perfect matchings of the gadget correspond to f-factors of
+the original graph.
 
 :func:`brute_force_f_factor` is an independent exhaustive oracle used to
 cross-check the matching pipeline.
@@ -66,30 +67,23 @@ def degree_spec_from_terminals(g: Graph, w: Iterable[int]) -> DegreeSpec:
 class GadgetGraph:
     """Perfect-matching gadget for an f-factor instance.
 
-    ``origin[i]`` describes gadget vertex i as ("port", v, edge) or
-    ("core", v, slot).  ``port_pairs[j]`` gives the two port vertices of
+    Host vertex v owns the gadget vertices ``start[v] .. start[v+1]-1``:
+    first its deg(v) ports, one per neighbour in ascending order, then its
+    deg(v) - f(v) cores.  ``port_pairs[j]`` gives the two port vertices of
     original edge ``host.edges[j]``.
     """
 
     host: Graph
     spec: DegreeSpec
     graph: Graph
-    origin: tuple[tuple, ...]
+    start: tuple[int, ...]
     port_pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def port_count(self) -> int:
-        return sum(1 for o in self.origin if o[0] == "port")
+    def ports_of(self, v: int) -> range:
+        return range(self.start[v], self.start[v] + self.host.degree(v))
 
-    @property
-    def core_count(self) -> int:
-        return sum(1 for o in self.origin if o[0] == "core")
-
-    def ports_of(self, v: int) -> list[int]:
-        return [i for i, o in enumerate(self.origin) if o[0] == "port" and o[1] == v]
-
-    def cores_of(self, v: int) -> list[int]:
-        return [i for i, o in enumerate(self.origin) if o[0] == "core" and o[1] == v]
+    def cores_of(self, v: int) -> range:
+        return range(self.start[v] + self.host.degree(v), self.start[v + 1])
 
 
 def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
@@ -99,31 +93,24 @@ def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
     for v in range(g.n):
         if f[v] > g.degree(v):
             raise ValueError(f"f({v}) = {f[v]} exceeds degree {g.degree(v)}")
-    origin: list[tuple] = []
-    port_of: dict[tuple[int, Edge], int] = {}
-    ports: list[list[int]] = [[] for _ in range(g.n)]
-    cores: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        for u in g.neighbors(v):
-            e = (v, u) if v < u else (u, v)
-            port_of[(v, e)] = len(origin)
-            ports[v].append(len(origin))
-            origin.append(("port", v, e))
-        for slot in range(g.degree(v) - f[v]):
-            cores[v].append(len(origin))
-            origin.append(("core", v, slot))
+    start = [0]
     edges: list[Edge] = []
     for v in range(g.n):
-        for p in ports[v]:
-            for c in cores[v]:
-                edges.append((p, c))
+        first, deg = start[-1], g.degree(v)
+        cores = range(first + deg, first + 2 * deg - f[v])
+        edges.extend((p, c) for p in range(first, first + deg) for c in cores)
+        start.append(cores.stop)
+    # g.edges is sorted, so each vertex meets its edges in ascending
+    # neighbour order, the order of its ports
+    next_port = start[:-1]
     port_pairs = []
-    for e in g.edges:
-        pu, pv = port_of[(e[0], e)], port_of[(e[1], e)]
-        edges.append((min(pu, pv), max(pu, pv)))
-        port_pairs.append((pu, pv))
-    gg = Graph(len(origin), edges)
-    return GadgetGraph(g, f, gg, tuple(origin), tuple(port_pairs))
+    for u, v in g.edges:
+        pair = (next_port[u], next_port[v])
+        next_port[u] += 1
+        next_port[v] += 1
+        edges.append(pair)
+        port_pairs.append(pair)
+    return GadgetGraph(g, f, Graph(start[-1], edges), tuple(start), tuple(port_pairs))
 
 
 @dataclass(frozen=True)
@@ -148,12 +135,11 @@ def extract_f_factor(gg: GadgetGraph, matching: Matching) -> FFactor:
     """Read the factor off a perfect gadget matching."""
     if not matching.is_perfect(gg.graph):
         raise ValueError("matching is not perfect on the gadget")
-    matched = set(matching.pairs)
-    chosen = [
-        e for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs)
-        if (min(pu, pv), max(pu, pv)) in matched
-    ]
-    factor = FFactor(gg.host.n, tuple(sorted(chosen)))
+    mate = matching.mate_array(gg.graph.n)
+    chosen = tuple(
+        e for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs) if mate[pu] == pv
+    )
+    factor = FFactor(gg.host.n, chosen)  # host.edges is sorted, so is chosen
     if not factor.matches_spec(gg.spec):
         raise AssertionError("gadget matching produced a degree-violating factor")
     return factor
@@ -332,12 +318,22 @@ def solve(g: Graph, w: Iterable[int]) -> PathCycleSystem | None:
 
 # -- exhaustive oracle -----------------------------------------------------
 
+#: Largest ``max_edges`` :func:`brute_force_f_factor` accepts.  The search
+#: recurses one frame per edge, so a bound near the interpreter's recursion
+#: limit would crash instead of answering.
+MAX_ORACLE_EDGES = 64
+
 
 def brute_force_f_factor(
     g: Graph, f: DegreeSpec, *, max_edges: int = 24
 ) -> FFactor | None:
     """Exhaustive f-factor search with degree pruning; independent of the
-    matching pipeline.  Raises UndecidedAtScaleError beyond ``max_edges``."""
+    matching pipeline.  Raises UndecidedAtScaleError beyond ``max_edges``,
+    and ValueError when ``max_edges`` exceeds :data:`MAX_ORACLE_EDGES`."""
+    if max_edges > MAX_ORACLE_EDGES:
+        raise ValueError(
+            f"edge bound {max_edges} exceeds the oracle's limit of {MAX_ORACLE_EDGES}"
+        )
     m = g.edge_count
     if m > max_edges:
         raise UndecidedAtScaleError(

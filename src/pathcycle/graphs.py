@@ -117,10 +117,21 @@ def as_vertex_set(g: Graph, vertices: Iterable[int], name: str = "vertex set") -
 # -- text I/O -------------------------------------------------------------
 
 
+def decode_ascii(text: str | bytes) -> str:
+    """The text of an input file given as str or bytes; bytes must be ASCII."""
+    if isinstance(text, bytes):
+        try:
+            return text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(
+                f"byte {text[exc.start]:#04x} at offset {exc.start} is not ASCII"
+            ) from None
+    return text
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the ``p``/``e`` line format; errors name the offending line."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    text = decode_ascii(text)
     n = None
     m = None
     edges: list[tuple[int, int]] = []
@@ -183,8 +194,7 @@ def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:
 
 def parse_terminals(text: str | bytes, g: Graph | None = None) -> tuple[int, ...]:
     """Parse a terminal-set file: whitespace-separated indices, maybe empty."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    text = decode_ascii(text)
     fields = text.split()
     try:
         vs = [int(f) for f in fields]

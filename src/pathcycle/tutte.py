@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import GraphFormatError, UndecidedAtScaleError
 from .factor import DegreeSpec
-from .graphs import Graph, as_vertex_set
+from .graphs import Graph, as_vertex_set, decode_ascii
 
 
 def _disjoint_sets(
@@ -145,25 +145,24 @@ def evaluate_pair(
 
 # -- exhaustive search ------------------------------------------------------
 
+#: Largest vertex count :func:`search_certificate` scans.  The scan's time
+#: grows as 3^n and its tables as 2^n sets of about n + 10 bytes: under 1 MB
+#: at 14 vertices, tens of GB at 30.
+MAX_SCAN_VERTICES = 14
 
-def search_certificate(
-    g: Graph,
-    f: DegreeSpec,
-    *,
-    max_vertices: int = 14,
-    jobs: int = 1,
-) -> TutteCertificate | None:
+
+def search_certificate(g: Graph, f: DegreeSpec) -> TutteCertificate | None:
     """Exhaustive certificate search over all disjoint (S, T) pairs.
 
     Returns the violating pair that is least under (|S| + |T|, S, T) with
     subsets compared lexicographically as sorted tuples, or ``None`` when
     every pair has nonnegative deficiency (equivalently, an f-factor
-    exists).  Raises :class:`UndecidedAtScaleError` above ``max_vertices``.
-    ``jobs`` is accepted for compatibility and has no effect.
+    exists).  Raises :class:`UndecidedAtScaleError` above
+    :data:`MAX_SCAN_VERTICES`.
     """
-    if g.n > max_vertices:
+    if g.n > MAX_SCAN_VERTICES:
         raise UndecidedAtScaleError(
-            f"{g.n} vertices exceeds the certificate search bound {max_vertices}"
+            f"{g.n} vertices exceeds the certificate search bound {MAX_SCAN_VERTICES}"
         )
     if len(f) != g.n:
         raise ValueError("degree spec length does not match vertex count")
@@ -195,7 +194,8 @@ def format_certificate(cert: TutteCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> TutteCertificate:
+def parse_certificate(text: str | bytes) -> TutteCertificate:
+    text = decode_ascii(text)
     s: tuple[int, ...] | None = None
     t: tuple[int, ...] | None = None
     dlt: int | None = None

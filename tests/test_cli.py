@@ -64,6 +64,14 @@ def test_oracle_bound_exceeded(files, empty_w):
     assert run(["oracle", "--graph", big, "--terminals", empty_w]) == 3
 
 
+def test_oracle_edge_bound_above_limit_is_usage_error(files, empty_w, capsys):
+    # the search recurses once per edge: a bound of 2000 used to overflow the stack
+    big = files("c1500.graph", serialize_graph(cycle_graph(1500)))
+    code = run(["oracle", "--graph", big, "--terminals", empty_w, "--max-edges", "2000"])
+    assert code == 2
+    assert "exceeds the oracle's limit of 64" in capsys.readouterr().err
+
+
 def test_certify_exhaustive_finds_witness(capsys, c5, w02):
     assert run(["certify", "--graph", c5, "--terminals", w02, "--exhaustive"]) == 1
     out = capsys.readouterr().out

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from pathcycle.errors import UndecidedAtScaleError
 from pathcycle.factor import (
+    MAX_ORACLE_EDGES,
     DegreeSpec,
     FFactor,
     brute_force_f_factor,
@@ -15,13 +17,15 @@ from pathcycle.factor import (
     matching_from_factor,
     solve,
 )
-from pathcycle.graphs import Graph
+from pathcycle.families import random_valid_instance
+from pathcycle.graphs import Graph, serialize_graph, serialize_terminals
 from pathcycle.matching import maximum_matching
 
 from .conftest import (
     complete_graph,
     cycle_graph,
     random_connected_graph,
+    random_graph,
     sample_even_terminal_sets,
     star_graph,
 )
@@ -61,7 +65,8 @@ def test_gadget_port_core_counts():
     g = star_graph(3)  # center has degree 3
     f = DegreeSpec((2, 1, 1, 0))
     gg = build_gadget(g, f)
-    assert len(gg.ports_of(0)) == 3 and len(gg.cores_of(0)) == 1
+    assert gg.ports_of(0) == range(0, 3) and gg.cores_of(0) == range(3, 4)
+    assert gg.ports_of(3) == range(6, 7) and gg.cores_of(3) == range(7, 8)
     assert gg.graph.n == sum(g.degree(v) for v in range(g.n)) + sum(
         g.degree(v) - f[v] for v in range(g.n)
     )
@@ -70,11 +75,45 @@ def test_gadget_port_core_counts():
 def test_gadget_no_cores_when_f_equals_degree():
     g = cycle_graph(4)
     gg = build_gadget(g, DegreeSpec((2, 2, 2, 2)))
-    assert gg.core_count == 0 and gg.port_count == 8
+    assert all(len(gg.cores_of(v)) == 0 and len(gg.ports_of(v)) == 2 for v in range(4))
+    assert gg.graph.n == 8
     assert gg.graph.edge_count == 4  # only the port-port edges survive
     m = maximum_matching(gg.graph)
     assert m.is_perfect(gg.graph)
     assert extract_f_factor(gg, m).edges == cycle_graph(4).edges
+
+
+def test_gadget_structure_on_random_specs():
+    rng = random.Random(23)
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(0, 11), rng.uniform(0.1, 0.9))
+        f = DegreeSpec(tuple(rng.randrange(g.degree(v) + 1) for v in range(g.n)))
+        gg = build_gadget(g, f)
+        blocks = []
+        for v in range(g.n):
+            ports, cores = gg.ports_of(v), gg.cores_of(v)
+            assert len(ports) == g.degree(v) and len(cores) == g.degree(v) - f[v]
+            assert ports.stop == cores.start
+            blocks.extend(ports)
+            blocks.extend(cores)
+        assert blocks == list(range(gg.graph.n))  # the blocks partition the gadget
+        owner = {x: v for v in range(g.n) for x in range(gg.start[v], gg.start[v + 1])}
+        across = {}
+        for e, (pu, pv) in zip(g.edges, gg.port_pairs):
+            assert (owner[pu], owner[pv]) == e
+            across[pu], across[pv] = pv, pu
+        for v in range(g.n):
+            cores = set(gg.cores_of(v))
+            for p in gg.ports_of(v):
+                foreign = [x for x in gg.graph.neighbors(p) if x not in cores]
+                assert cores <= set(gg.graph.neighbors(p))
+                assert foreign == [across[p]] and owner[across[p]] != v
+            for c in cores:
+                assert set(gg.graph.neighbors(c)) == set(gg.ports_of(v))
+        assert gg.graph.n == sum(2 * g.degree(v) - f[v] for v in range(g.n))
+        assert gg.graph.edge_count == g.edge_count + sum(
+            g.degree(v) * (g.degree(v) - f[v]) for v in range(g.n)
+        )
 
 
 def test_gadget_rejects_oversized_f():
@@ -209,6 +248,14 @@ def test_brute_force_bound():
         brute_force_f_factor(g, DegreeSpec((2,) * 8))
 
 
+def test_brute_force_edge_bound_is_capped():
+    g = cycle_graph(4)
+    f = DegreeSpec((2, 2, 2, 2))
+    assert brute_force_f_factor(g, f, max_edges=MAX_ORACLE_EDGES) is not None
+    with pytest.raises(ValueError, match="exceeds the oracle's limit"):
+        brute_force_f_factor(g, f, max_edges=MAX_ORACLE_EDGES + 1)
+
+
 # -- solver vs oracle on a small corpus -------------------------------------------------
 
 
@@ -223,3 +270,35 @@ def test_solver_oracle_agreement_small(atlas_connected):
             assert (got is None) == (expect is None), (g.edges, w)
             if got is not None:
                 got.validate(g, w)
+
+
+# -- pinned outputs -----------------------------------------------------------------
+
+#: SHA-256 over every graph, terminal set and solve output of
+#: :func:`_solve_corpus`.  The output is a pure function of the gadget and
+#: its numbering, so a change to either shows here.
+SOLVE_CORPUS_SHA256 = "b2f4138fc7dd7f8c49bf2de9f61c04373aca380db9281786d92066ec2b6f0e00"
+
+
+def _solve_corpus():
+    for r in (4, 5, 6):
+        for size in (14, 23, 31, 40):
+            inst = random_valid_instance(r, size, size)
+            yield inst.graph, inst.w
+    rng = random.Random(4057)
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randrange(3, 13), rng.uniform(0.25, 0.75))
+        yield g, tuple(sorted(rng.sample(range(g.n), rng.randrange(0, g.n + 1, 2))))
+
+
+def test_solve_outputs_are_pinned():
+    digest = hashlib.sha256()
+    outcomes = set()
+    for g, w in _solve_corpus():
+        system = solve(g, w)
+        outcomes.add(system is None)
+        digest.update(serialize_graph(g).encode())
+        digest.update(serialize_terminals(w).encode())
+        digest.update(b"INFEASIBLE\n" if system is None else system.format().encode())
+    assert outcomes == {False, True}
+    assert digest.hexdigest() == SOLVE_CORPUS_SHA256

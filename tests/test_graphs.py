@@ -101,6 +101,12 @@ def test_parse_rejects_vertex_count_above_cap():
         parse_graph("p 1000000000 0\n")
 
 
+def test_parse_rejects_non_ascii_bytes():
+    for parse in (parse_graph, parse_terminals):
+        with pytest.raises(GraphFormatError, match="not ASCII"):
+            parse(b"\xff")
+
+
 def test_parse_skips_comments():
     g = parse_graph("c a comment\np 2 1\nc another\ne 0 1\n")
     assert g.edge_count == 1
