@@ -11,7 +11,6 @@ families with machine-checked witnesses.
 from .discharge import (
     ChargeState,
     DischargeReport,
-    GraphHypotheses,
     RuleConstants,
     discharge,
     rule_constants,
@@ -65,6 +64,7 @@ from .tutte import (
     search_certificate,
 )
 from .verify import (
+    GraphHypotheses,
     PropertyReport,
     check_regular,
     check_terminal_set,

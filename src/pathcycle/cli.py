@@ -147,40 +147,31 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+#: family name -> (generator, the flags it takes in argument order)
+FAMILIES = {
+    "prop1-odd": (families.gen_prop1_odd, ("r", "k")),
+    "prop1-even": (families.gen_prop1_even, ("r", "k")),
+    "prop1-bipartite": (families.gen_prop1_bipartite, ("r", "n")),
+    "prop2-r4": (families.gen_prop2_r4, ("n",)),
+    "prop2-general": (families.gen_prop2_general, ("r", "m")),
+    "prop2-r5": (families.gen_prop2_r5, ("m",)),
+    "random": (families.random_valid_instance, ("r", "n", "seed")),
+}
+
+
 def _cmd_generate(args) -> int:
     fam = args.family
-    need = {
-        "prop1-odd": ("r", "k"),
-        "prop1-even": ("r", "k"),
-        "prop1-bipartite": ("r", "n"),
-        "prop2-r4": ("n",),
-        "prop2-general": ("r", "m"),
-        "prop2-r5": ("m",),
-        "random": ("r", "n", "seed"),
-    }
-    if fam not in need:
+    if fam not in FAMILIES:
         print(f"unknown family {fam!r}", file=sys.stderr)
         return EXIT_USAGE
-    missing = [flag for flag in need[fam] if getattr(args, flag) is None]
+    generator, flags = FAMILIES[fam]
+    missing = [flag for flag in flags if getattr(args, flag) is None]
     if missing:
         print(
             f"family {fam} requires --" + ", --".join(missing), file=sys.stderr
         )
         return EXIT_USAGE
-    if fam == "prop1-odd":
-        inst = families.gen_prop1_odd(args.r, args.k)
-    elif fam == "prop1-even":
-        inst = families.gen_prop1_even(args.r, args.k)
-    elif fam == "prop1-bipartite":
-        inst = families.gen_prop1_bipartite(args.r, args.n)
-    elif fam == "prop2-r4":
-        inst = families.gen_prop2_r4(args.n)
-    elif fam == "prop2-general":
-        inst = families.gen_prop2_general(args.r, args.m)
-    elif fam == "prop2-r5":
-        inst = families.gen_prop2_r5(args.m)
-    else:
-        inst = families.random_valid_instance(args.r, args.n, args.seed)
+    inst = generator(*(getattr(args, flag) for flag in flags))
     for path in families.write_instance(inst, args.out):
         print(path)
     return EXIT_OK

@@ -29,7 +29,7 @@ from typing import Iterable
 from .factor import degree_spec_from_terminals
 from .graphs import Graph, as_vertex_set
 from .tutte import _pair_profile
-from .verify import check_regular, check_terminal_set, edge_connectivity, find_induced_star
+from .verify import GraphHypotheses, check_terminal_set
 
 
 @dataclass(frozen=True)
@@ -51,37 +51,24 @@ class RuleConstants:
         )
 
 
+def _rule_numerators(r: int) -> tuple[int, int, int]:
+    """The three transfer amounts as numerators over r(r-1): 1/r,
+    (2r-1)/(r(r-1)) and (r-1)/r."""
+    return r - 1, 2 * r - 1, (r - 1) ** 2
+
+
 def rule_constants(r: int) -> RuleConstants:
     if r < 2:
         raise ValueError("degree must be at least 2")
     rr = r * (r - 1)
+    s1, s2_t, comp_t = _rule_numerators(r)
     return RuleConstants(
         r=r,
-        s1_to_neighbor=Fraction(1, r),
-        s2_to_terminal=Fraction(2 * r - 1, rr),
-        component_to_terminal=Fraction(r - 1, r),
+        s1_to_neighbor=Fraction(s1, rr),
+        s2_to_terminal=Fraction(s2_t, rr),
+        component_to_terminal=Fraction(comp_t, rr),
         claim4_single_neighbor=Fraction(3 * r * r - 5 * r + 1, rr),
     )
-
-
-@dataclass(frozen=True)
-class GraphHypotheses:
-    """Instance-level preconditions of the charge-bound claims."""
-
-    r: int
-    regular: bool
-    star_free: bool
-    edge_connected: bool  # lambda(G) >= r
-
-    @classmethod
-    def compute(cls, g: Graph, r: int) -> "GraphHypotheses":
-        lam, _ = edge_connectivity(g)
-        return cls(
-            r=r,
-            regular=check_regular(g, r).holds is True,
-            star_free=find_induced_star(g, r) is None,
-            edge_connected=lam >= r,
-        )
 
 
 @dataclass(frozen=True)
@@ -220,14 +207,11 @@ def discharge(
         raise ValueError("discharge rules require r >= 4")
     ws = as_vertex_set(g, w, "terminal set")
     f = degree_spec_from_terminals(g, ws)
-    ss = as_vertex_set(g, s, "S")
-    ts = as_vertex_set(g, t, "T")
-    if set(ss) & set(ts):
-        raise ValueError("S and T overlap")
+    prof = _pair_profile(g, f, s, t)  # validates S and T
     if hypotheses is None:
         hypotheses = GraphHypotheses.compute(g, r)
 
-    prof = _pair_profile(g, f, ss, ts)
+    ss, ts = prof.s, prof.t
     comps, comp_id, side = prof.odd, prof.comp_id, prof.side
     q = len(comps)
     targets = f.targets  # 1 on W, 2 elsewhere
@@ -235,10 +219,8 @@ def discharge(
     s2 = tuple(v for v in ss if targets[v] != 1)
 
     scale = r * (r - 1)
-    amt_s1 = r - 1              # 1/r
-    amt_s2_t = 2 * r - 1        # (2r-1)/(r(r-1))
-    amt_s_comp = r - 1          # 1/r
-    amt_comp_t = (r - 1) ** 2   # (r-1)/r
+    amt_s1, amt_s2_t, amt_comp_t = _rule_numerators(r)
+    amt_s_comp = amt_s1  # S sends 1/r to each adjacent odd component
 
     # Every transfer has an endpoint in S or T, so walking N(T) and then
     # N(S) moves all of them.

@@ -34,8 +34,9 @@ from .graphs import (
     serialize_graph,
     serialize_terminals,
 )
-from .tutte import evaluate_pair, format_certificate
+from .tutte import TutteCertificate, evaluate_pair, format_certificate
 from .verify import (
+    GraphHypotheses,
     PropertyReport,
     check_regular,
     check_terminal_set,
@@ -45,6 +46,11 @@ from .verify import (
 )
 
 Witness = tuple[tuple[int, ...], tuple[int, ...], int]
+
+#: Largest edge count a generator builds.  Every generator computes its
+#: edge count from its parameters and refuses larger instances before it
+#: builds anything; the largest instance the tests use has 3360 edges.
+MAX_EDGES = 10**6
 
 
 @dataclass(frozen=True)
@@ -92,26 +98,44 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _check_size(n: int, r: int) -> None:
+    """Refuse an r-regular instance on n vertices above :data:`MAX_EDGES`."""
+    if n * r // 2 > MAX_EDGES:
+        raise ValueError(
+            f"{n} vertices of degree {r} make {n * r // 2} edges, "
+            f"above the limit of {MAX_EDGES}"
+        )
+
+
+def _terminal_counts(g: Graph, w: Iterable[int]) -> list[int]:
+    """|N(v) n W| for every vertex v."""
+    wset = set(w)
+    return [sum(1 for x in g.neighbors(v) if x in wset) for v in range(g.n)]
+
+
+def _replayed_witness(inst: FamilyInstance) -> TutteCertificate:
+    """The witness pair evaluated on the instance; raises if its deficiency
+    is not the recorded one."""
+    s, t, expected = inst.witness
+    cert = evaluate_pair(inst.graph, degree_spec_from_terminals(inst.graph, inst.w), s, t)
+    if cert.delta != expected:
+        raise AssertionError(
+            f"{inst.name}: witness deficiency {cert.delta} != expected {expected}"
+        )
+    return cert
+
+
 def _assert_generated(inst: FamilyInstance) -> FamilyInstance:
     """Construction-time sanity: regularity, terminal bound, witness value."""
-    g = inst.graph
-    rep = check_regular(g, inst.r)
+    rep = check_regular(inst.graph, inst.r)
     if rep.holds is not True:
         raise AssertionError(f"{inst.name}: {rep.detail}")
     if len(inst.w) % 2 != 0:
         raise AssertionError(f"{inst.name}: terminal set has odd size")
     if inst.witness is not None:
-        s, t, expected = inst.witness
-        f = degree_spec_from_terminals(g, inst.w)
-        cert = evaluate_pair(g, f, s, t)
-        if cert.delta != expected:
-            raise AssertionError(
-                f"{inst.name}: witness deficiency {cert.delta} != expected {expected}"
-            )
+        _replayed_witness(inst)
     if inst.terminal_mode == "nbhd2":
-        wset = set(inst.w)
-        counts = [sum(1 for x in g.neighbors(v) if x in wset) for v in range(g.n)]
-        if max(counts, default=0) > 2:
+        if max(_terminal_counts(inst.graph, inst.w), default=0) > 2:
             raise AssertionError(f"{inst.name}: some vertex has >2 terminals nearby")
     return inst
 
@@ -138,6 +162,7 @@ def gen_prop1_odd(r: int, k: int) -> FamilyInstance:
     nh = r + k - 1       # block H
     ns = r + k + 1       # block H*
     hub_count = 2 * r
+    _check_size(hub_count + (2 * r + 1) * nh + ns, r)
     names: dict[str, int] = {f"x_{i + 1}": i for i in range(hub_count)}
     edges: set[tuple[int, int]] = set()
     starts: list[int] = []
@@ -239,6 +264,7 @@ def gen_prop1_even(r: int, k: int) -> FamilyInstance:
         # consecutive entries adjacent: swap v_{r-5}, v_{r-4}; append v_{r-2}
         deficient = list(range(r - 5)) + [r - 4, r - 5, r - 2]
         w_idx = (3 * r - 2) // 2
+    _check_size(hub_count + r * nv, r)
 
     names: dict[str, int] = {f"x_{i + 1}": i for i in range(hub_count)}
     edges: set[tuple[int, int]] = set()
@@ -299,6 +325,7 @@ def gen_prop1_bipartite(r: int, n: int) -> FamilyInstance:
         raise ValueError("r must be >= 4")
     if n < 3 * r:
         raise ValueError(f"side size {n} too small for a distance-4 pair")
+    _check_size(2 * n, r)
     edges = []
     for i in range(n):
         for d in range(r):
@@ -340,6 +367,7 @@ def gen_prop2_r4(n: int) -> FamilyInstance:
     """
     if n < 6:
         raise ValueError("n must be >= 6")
+    _check_size(10 * n, 4)
     m3 = 3 * n
 
     def x(i: int) -> int:  # 1-based, wraps
@@ -396,26 +424,22 @@ def gen_prop2_r4(n: int) -> FamilyInstance:
 # -- families 5 and 6: r >= 6 and r = 5 via glued biregular blocks ------------
 
 
-def _subdivided_circulant(nv: int, offsets: Sequence[int]) -> list[tuple[int, int]]:
-    """Base edges of a circulant on nv vertices, in subdivision order:
-    subdivision vertex i sits on base edge i, incident to its endpoints."""
-    return sorted(_circulant_block(0, nv, offsets))
-
-
 def _verify_block(
     block: Graph,
     name: str,
-    degrees: dict[int, int],
-    essential_k: int | None,
-    min_lambda: int | None,
-) -> list[str]:
-    """Post-verify a building block; raise on definite failure.
-
-    Returns warnings for checks that were undecided at this scale.
+    split: int,
+    degrees: tuple[int, int],
+    essential_k: int,
+    min_lambda: int | None = None,
+) -> None:
+    """Post-verify a building block whose vertices below ``split`` have
+    degree ``degrees[0]`` and the rest ``degrees[1]``; raise on definite
+    failure.  An essential-connectivity check beyond
+    :data:`~pathcycle.verify.MAX_ESSENTIAL_WORK` is undecided, and the block
+    is then accepted unchecked.
     """
-    warnings: list[str] = []
     for v in range(block.n):
-        want = degrees[v]
+        want = degrees[v >= split]
         if block.degree(v) != want:
             raise AssertionError(
                 f"{name}: vertex {v} has degree {block.degree(v)}, wanted {want}"
@@ -424,13 +448,9 @@ def _verify_block(
         lam, _ = edge_connectivity(block)
         if lam < min_lambda:
             raise AssertionError(f"{name}: edge connectivity {lam} < {min_lambda}")
-    if essential_k is not None:
-        rep = essential_edge_connectivity_at_least(block, essential_k)
-        if rep.holds is False:
-            raise AssertionError(f"{name}: not essentially {essential_k}-edge-connected")
-        if rep.holds is None:
-            warnings.append(f"{name}: essential connectivity undecided ({rep.detail})")
-    return warnings
+    rep = essential_edge_connectivity_at_least(block, essential_k)
+    if rep.holds is False:
+        raise AssertionError(f"{name}: not essentially {essential_k}-edge-connected")
 
 
 def _glued_family(
@@ -439,33 +459,50 @@ def _glued_family(
     m1_offsets: Sequence[int],
     h2_edges_labels: list[tuple[int, int]],
     h2_x_count: int,
-    y_count: int,
-    y_perm: list[int],
+    special_labels: list[int],
     b_sets: list[list[int]],
     w_b_labels: tuple[int, int],
     family_name: str,
 ) -> FamilyInstance:
     """Shared assembly for the r >= 6 and r = 5 constructions.
 
-    ``h2_edges_labels`` lists (x2_index, y_label) incidences of the second
-    block; ``y_perm[label]`` maps a Y label to the subdivision vertex of
-    the first block glued onto it; ``b_sets`` partition the Y labels.
+    H1 subdivides the circulant on 2m vertices with ``m1_offsets``; its
+    subdivision vertices are the sorted base edges.  ``h2_edges_labels``
+    lists (x2_index, y_label) incidences of the second block and ``b_sets``
+    partition the Y labels.  Y label i is glued onto subdivision vertex i,
+    except that ``special_labels`` take the first subdivision vertices with
+    an endpoint outside X_1', in ascending order, and the remaining labels
+    the remaining vertices.
     """
     n_apex = (r - 2) * m // (r - 1)
     x1_count = 2 * m
-    base_edges = _subdivided_circulant(x1_count, m1_offsets)
-    if len(base_edges) != y_count:
+    base_edges = sorted(_circulant_block(0, x1_count, m1_offsets))
+    y_count = len(base_edges)
+    if y_count != (r - 2) * m:
         raise AssertionError("block sizes disagree with the glue count")
+    h1 = Graph(
+        x1_count + y_count,
+        [(u, x1_count + sub) for sub, e in enumerate(base_edges) for u in e],
+    )
+    _verify_block(h1, "H1", x1_count, (r - 2, 2), essential_k=3)
+
+    eligible = [
+        sub for sub, (u, v) in enumerate(base_edges)
+        if u >= 2 * n_apex or v >= 2 * n_apex
+    ]
+    if len(eligible) < len(special_labels):
+        raise AssertionError("not enough eligible glue vertices")
+    if len(set(special_labels)) != len(special_labels):
+        raise AssertionError("special labels must be duplicate-free")
+    glued = dict(zip(eligible, special_labels))  # subdivision vertex -> label
+    others = iter(sorted(set(range(y_count)) - set(special_labels)))
+    inv = [glued[sub] if sub in glued else next(others) for sub in range(y_count)]
 
     x2_start = x1_count
     y_start = x2_start + h2_x_count
     a_start = y_start + y_count
     b_start = a_start + 2 * n_apex
     total = b_start + 2 * n_apex
-
-    inv = [0] * y_count  # subdivision vertex -> label
-    for label, sub in enumerate(y_perm):
-        inv[sub] = label
 
     edges: set[tuple[int, int]] = set()
     for sub, (u, v) in enumerate(base_edges):  # first block, through the glue
@@ -475,22 +512,14 @@ def _glued_family(
     for x2, ylabel in h2_edges_labels:    # second block
         edges.add(_norm(x2_start + x2, y_start + ylabel))
 
-    x1_prime = list(range(2 * n_apex))
-    pool = list(range(2 * n_apex, x1_count)) + list(
-        range(x2_start, x2_start + h2_x_count)
-    )
+    # apex pair a_{2i+1}, a_{2i+2} over two of X_1' and r - 3 of the pool
+    pool = list(range(2 * n_apex, y_start))
     if len(pool) != n_apex * (r - 3):
         raise AssertionError("apex pool does not split into r - 3 vertices per apex")
-    a_sets = []
-    for i in range(n_apex):
-        a_sets.append(
-            [x1_prime[2 * i], x1_prime[2 * i + 1]]
-            + pool[i * (r - 3):(i + 1) * (r - 3)]
-        )
     for i in range(n_apex):
         a1, a2 = a_start + 2 * i, a_start + 2 * i + 1
         edges.add(_norm(a1, a2))
-        for v in a_sets[i]:
+        for v in [2 * i, 2 * i + 1] + pool[i * (r - 3):(i + 1) * (r - 3)]:
             edges.add(_norm(a1, v))
             edges.add(_norm(a2, v))
     if len(b_sets) != n_apex:
@@ -505,20 +534,9 @@ def _glued_family(
             edges.add(_norm(b2, y_start + label))
 
     g = Graph(total, edges)
-    w = tuple(sorted(x1_prime + [b_start + w_b_labels[0], b_start + w_b_labels[1]]))
-    s = tuple(
-        sorted(
-            list(range(x1_count))
-            + list(range(x2_start, x2_start + h2_x_count))
-            + list(range(b_start, b_start + 2 * n_apex))
-        )
-    )
-    t = tuple(
-        sorted(
-            list(range(y_start, y_start + y_count))
-            + list(range(a_start, a_start + 2 * n_apex))
-        )
-    )
+    w = tuple(range(2 * n_apex)) + (b_start + w_b_labels[0], b_start + w_b_labels[1])
+    s = tuple(range(y_start)) + tuple(range(b_start, total))  # X_1, X_2, b
+    t = tuple(range(y_start, b_start))                        # Y, a
     names = {f"X1_{i}": i for i in range(x1_count)}
     names.update({f"X2_{i}": x2_start + i for i in range(h2_x_count)})
     names.update({f"Y0_{i}": y_start + i for i in range(y_count)})
@@ -555,11 +573,11 @@ def gen_prop2_general(r: int, m: int) -> FamilyInstance:
         raise ValueError("m must be a multiple of r-1 with m >= 2(r-1)^2")
     n_apex = (r - 2) * m // (r - 1)
     y_count = (r - 2) * m
+    _check_size(2 * m + (r - 4) * m + y_count + 4 * n_apex, r)
     if r % 2 == 0:
         m1_offsets = tuple(range(1, (r - 2) // 2 + 1))
     else:
         m1_offsets = tuple(range(1, (r - 3) // 2 + 1)) + (m,)
-    base_edges = _subdivided_circulant(2 * m, m1_offsets)
 
     # second block: x = (i, s) joined to y = (i + (s+1)t mod m, t)
     h2_x_count = (r - 4) * m
@@ -569,65 +587,21 @@ def gen_prop2_general(r: int, m: int) -> FamilyInstance:
             for t_layer in range(r - 2):
                 j = (i + (s_layer + 1) * t_layer) % m
                 h2_edges_labels.append((s_layer * m + i, t_layer * m + j))
-
-    # block verification on standalone graphs
-    h1_edges = []
-    for sub, (u, v) in enumerate(base_edges):
-        h1_edges += [(u, 2 * m + sub), (v, 2 * m + sub)]
-    h1 = Graph(2 * m + y_count, h1_edges)
-    warn = _verify_block(
-        h1, "H1",
-        {v: (r - 2 if v < 2 * m else 2) for v in range(h1.n)},
-        essential_k=3, min_lambda=None,
-    )
     h2 = Graph(
         h2_x_count + y_count,
         [(x, h2_x_count + y) for x, y in h2_edges_labels],
     )
-    warn += _verify_block(
-        h2, "H2",
-        {v: (r - 2 if v < h2_x_count else r - 4) for v in range(h2.n)},
-        essential_k=r - 3, min_lambda=r - 4,
+    _verify_block(
+        h2, "H2", h2_x_count, (r - 2, r - 4), essential_k=r - 3, min_lambda=r - 4
     )
 
-    # eligible glue labels: subdivision vertices with an endpoint outside X_1'
-    x1_prime_bound = 2 * n_apex
-    eligible = [
-        sub for sub, (u, v) in enumerate(base_edges)
-        if u >= x1_prime_bound or v >= x1_prime_bound
-    ]
-    if len(eligible) < 2 * (r - 1):
-        raise AssertionError("not enough eligible glue vertices for B_1, B_2")
-    # glue identity: label i <-> subdivision i, except B_1, B_2 labels take
+    # B_i takes the i-th run of r - 1 labels; B_1 and B_2 glue onto
     # eligible subdivision vertices
-    special_labels = list(range(2 * (r - 1)))
-    y_perm = _permute_labels(y_count, special_labels, eligible[: 2 * (r - 1)])
-    b_sets = [special_labels[: r - 1], special_labels[r - 1:]]
-    rest = [l for l in range(y_count) if l not in set(special_labels)]
-    for i in range(2, n_apex):
-        b_sets.append(rest[(i - 2) * (r - 1):(i - 1) * (r - 1)])
+    b_sets = [list(range(i * (r - 1), (i + 1) * (r - 1))) for i in range(n_apex)]
     return _glued_family(
-        r, m, m1_offsets, h2_edges_labels, h2_x_count, y_count,
-        y_perm, b_sets, (0, 2), "prop2-general",
+        r, m, m1_offsets, h2_edges_labels, h2_x_count,
+        b_sets[0] + b_sets[1], b_sets, (0, 2), "prop2-general",
     )
-
-
-def _permute_labels(
-    y_count: int, labels: list[int], subdivisions: list[int]
-) -> list[int]:
-    """Bijection label -> subdivision vertex sending ``labels[i]`` to
-    ``subdivisions[i]`` and everything else in ascending order."""
-    if len(set(labels)) != len(labels) or len(set(subdivisions)) != len(subdivisions):
-        raise AssertionError("labels and subdivisions must be duplicate-free")
-    perm = [-1] * y_count
-    taken = set(subdivisions)
-    for lab, sub in zip(labels, subdivisions):
-        perm[lab] = sub
-    free = iter(s for s in range(y_count) if s not in taken)
-    for lab in range(y_count):
-        if perm[lab] < 0:
-            perm[lab] = next(free)
-    return perm
 
 
 @lru_cache(maxsize=None)
@@ -645,26 +619,10 @@ def gen_prop2_r5(m: int) -> FamilyInstance:
     r = 5
     if m % 4 != 0 or m < 96:
         raise ValueError("m must be a multiple of 4 with m >= 96")
+    _check_size(9 * m, r)
     n_apex = 3 * m // 4
-    y_count = 3 * m
-    m1_offsets = (1, m)  # Moebius ladder: cycle plus antipodal rungs
-    base_edges = _subdivided_circulant(2 * m, m1_offsets)
-
-    h2_x_count = m
-    h2_edges_labels = []
-    for j in range(m):            # star centers
-        for h in range(3):
-            h2_edges_labels.append((j, 3 * j + h))
-
-    h1_edges = []
-    for sub, (u, v) in enumerate(base_edges):
-        h1_edges += [(u, 2 * m + sub), (v, 2 * m + sub)]
-    h1 = Graph(2 * m + y_count, h1_edges)
-    _verify_block(
-        h1, "H1",
-        {v: (3 if v < 2 * m else 2) for v in range(h1.n)},
-        essential_k=3, min_lambda=None,
-    )
+    # second block: star centre j joined to its leaves, labels 3j .. 3j + 2
+    h2_edges_labels = [(j, 3 * j + h) for j in range(m) for h in range(3)]
 
     def label(j: int, h: int) -> int:  # 1-based star j, leaf h
         return 3 * ((j - 1) % m) + (h - 1)
@@ -675,20 +633,12 @@ def gen_prop2_r5(m: int) -> FamilyInstance:
         p = (i - h) // 3
         b_sets.append([label(4 * p + h + d, h) for d in range(4)])
 
-    x1_prime_bound = 2 * n_apex
-    eligible = [
-        sub for sub, (u, v) in enumerate(base_edges)
-        if u >= x1_prime_bound or v >= x1_prime_bound
-    ]
     # B_1, B_4 (distinct stars by the label scheme) and B_2 (apexed by the
-    # terminal b_4) all glue onto eligible subdivision vertices
-    special_labels = b_sets[0] + b_sets[3] + b_sets[1]
-    if len(eligible) < len(special_labels):
-        raise AssertionError("not enough eligible glue vertices")
-    y_perm = _permute_labels(y_count, special_labels, eligible[: len(special_labels)])
+    # terminal b_4) all glue onto eligible subdivision vertices; the
+    # offsets (1, m) make the Moebius ladder
     return _glued_family(
-        r, m, m1_offsets, h2_edges_labels, h2_x_count, y_count,
-        y_perm, b_sets, (0, 3), "prop2-r5",
+        r, m, (1, m), h2_edges_labels, m,
+        b_sets[0] + b_sets[3] + b_sets[1], b_sets, (0, 3), "prop2-r5",
     )
 
 
@@ -756,6 +706,7 @@ def random_valid_instance(r: int, size: int, seed: int) -> FamilyInstance:
         raise ValueError("random instances support r in {4, 5, 6}")
     if size < 8:
         raise ValueError("size must be >= 8")
+    _check_size(max(size + 3, 13), r)  # the most vertices a candidate has
     rng = random.Random((r, size, seed).__hash__())
     for _attempt in range(60):
         style = rng.choice(("circulant", "line")) if r == 4 else "circulant"
@@ -778,12 +729,8 @@ def random_valid_instance(r: int, size: int, seed: int) -> FamilyInstance:
                 nv += nv % 2
                 offsets = (1, 2, nv // 2)
             g = Graph(nv, _circulant_block(0, nv, offsets))
-        if check_regular(g, r).holds is not True:
-            continue
-        if find_induced_star(g, r) is not None:
-            continue
-        lam, _ = edge_connectivity(g)
-        if lam < r:
+        hyp = GraphHypotheses.compute(g, r)
+        if not (hyp.regular and hyp.star_free and hyp.edge_connected):
             continue
         w = _greedy_terminals(g, cap=max(2, g.n // 8 * 2))
         if check_terminal_set(g, w, "nbhd1").holds is not True:
@@ -836,8 +783,7 @@ def verify_claims(inst: FamilyInstance) -> list[PropertyReport]:
     if inst.terminal_mode in ("distance3", "nbhd1"):
         reports.append(check_terminal_set(g, inst.w, inst.terminal_mode))
     else:  # nbhd2: at most two terminal neighbors, met with equality somewhere
-        wset = set(inst.w)
-        counts = [sum(1 for x in g.neighbors(v) if x in wset) for v in range(g.n)]
+        counts = _terminal_counts(g, inst.w)
         top = max(counts, default=0)
         reports.append(
             PropertyReport(
@@ -880,12 +826,7 @@ def write_instance(inst: FamilyInstance, prefix: str | Path) -> list[Path]:
     npath.write_text("\n".join(lines) + "\n" if lines else "")
     written.append(npath)
     if inst.witness is not None:
-        s, t, expected = inst.witness
-        f = degree_spec_from_terminals(inst.graph, inst.w)
-        cert = evaluate_pair(inst.graph, f, s, t)
-        if cert.delta != expected:
-            raise AssertionError("witness deficiency changed between build and write")
         wpath = prefix.with_suffix(".witness")
-        wpath.write_text(format_certificate(cert))
+        wpath.write_text(format_certificate(_replayed_witness(inst)))
         written.append(wpath)
     return written

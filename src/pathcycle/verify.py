@@ -17,6 +17,14 @@ from .graphs import Graph, as_vertex_set
 
 Edge = tuple[int, int]
 
+#: Work bound of :func:`essential_edge_connectivity_at_least`, whose estimate
+#: m(m-1)...(m-k+2) * m counts the ordered edge subsets it scans times an
+#: O(m) bridge scan each.  Larger checks are undecided.
+MAX_ESSENTIAL_WORK = 200_000_000
+
+#: Largest vertex count :func:`path_system_criterion` scans all 2^n subsets of.
+MAX_CRITERION_VERTICES = 18
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -150,14 +158,7 @@ def _bridges(n: int, adj: list[list[int]]) -> list[Edge]:
     return out
 
 
-def essential_edge_connectivity_at_least(
-    g: Graph,
-    k: int,
-    *,
-    max_k: int = 4,
-    max_edges: int = 2000,
-    max_work: int = 200_000_000,
-) -> PropertyReport:
+def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:
     """Is the graph essentially k-edge-connected?
 
     Holds when no set of at most k-1 edges disconnects the graph into two
@@ -165,21 +166,20 @@ def essential_edge_connectivity_at_least(
     violating sets: every minimal violating set of size j consists of j-1
     edges plus a bridge of the graph with those j-1 edges removed, so it
     suffices to scan (j-1)-subsets and refine with a bridge computation.
-    Inputs beyond the exhaustion bound yield an undecided report.
+    Inputs whose work estimate exceeds :data:`MAX_ESSENTIAL_WORK` yield an
+    undecided report.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     name = "essential-edge-connectivity"
     m = g.edge_count
-    if not (k <= max_k or m <= max_edges):
-        return PropertyReport(name, None, detail=f"k={k} with {m} edges exceeds the bound")
     # work estimate: C(m, j-1) * O(m) bridge scans for the largest j
     jmax = k - 1
     if jmax >= 1:
         est = m
         for j in range(2, jmax + 1):
             est *= max(m - j + 1, 1)
-        if est * max(m, 1) > max_work:
+        if est * max(m, 1) > MAX_ESSENTIAL_WORK:
             return PropertyReport(
                 name, None, detail=f"k={k} with {m} edges exceeds the work budget"
             )
@@ -274,6 +274,30 @@ def _independent_subset(
     return None
 
 
+# -- the theorem's graph hypotheses -----------------------------------------
+
+
+@dataclass(frozen=True)
+class GraphHypotheses:
+    """The theorem's three graph hypotheses: r-regular, K_{1,r}-free and
+    r-edge-connected."""
+
+    r: int
+    regular: bool
+    star_free: bool
+    edge_connected: bool  # lambda(G) >= r
+
+    @classmethod
+    def compute(cls, g: Graph, r: int) -> "GraphHypotheses":
+        lam, _ = edge_connectivity(g)
+        return cls(
+            r=r,
+            regular=check_regular(g, r).holds is True,
+            star_free=find_induced_star(g, r) is None,
+            edge_connected=lam >= r,
+        )
+
+
 # -- terminal sets --------------------------------------------------------
 
 
@@ -342,13 +366,16 @@ def check_terminal_set(g: Graph, w: Iterable[int], mode: str) -> PropertyReport:
 # -- path-system criterion ------------------------------------------------
 
 
-def path_system_criterion(g: Graph, *, max_vertices: int = 18) -> PropertyReport:
+def path_system_criterion(g: Graph) -> PropertyReport:
     """Check that removing any proper vertex subset S leaves at most |S|+1
-    components (the all-terminal-sets path-system criterion)."""
+    components (the all-terminal-sets path-system criterion).  Undecided
+    above :data:`MAX_CRITERION_VERTICES` vertices."""
     name = "path-system-criterion"
     n = g.n
-    if n > max_vertices:
-        return PropertyReport(name, None, detail=f"{n} vertices exceeds bound {max_vertices}")
+    if n > MAX_CRITERION_VERTICES:
+        return PropertyReport(
+            name, None, detail=f"{n} vertices exceeds bound {MAX_CRITERION_VERTICES}"
+        )
     masks = g.adjacency_masks()
     full = (1 << n) - 1
     for s_mask in range(1 << n):

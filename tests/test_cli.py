@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,29 @@ def test_generate_unknown_family(tmp_path):
 def test_generate_missing_parameters(tmp_path):
     assert run(["generate", "--family", "prop1-odd", "--r", "5",
                 "--out", str(tmp_path / "x")]) == 2
+
+
+def test_generate_usage_messages(tmp_path, capsys):
+    assert run(["generate", "--family", "nope", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "unknown family 'nope'\n"
+    assert run(["generate", "--family", "random", "--r", "4",
+                "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "family random requires --n, --seed\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "prop1-bipartite", "--r", "3000", "--n", "9000"],
+        ["--family", "prop1-odd", "--r", "201", "--k", "202"],
+    ],
+)
+def test_generate_oversized_instance_is_usage_error(tmp_path, capsys, flags):
+    started = time.perf_counter()
+    assert run(["generate", *flags, "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "above the limit of" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_discharge_cli(capsys, tmp_path):

@@ -1,5 +1,9 @@
+import hashlib
+import time
+
 import pytest
 
+from pathcycle import families
 from pathcycle.factor import degree_spec_from_terminals, solve
 from pathcycle.families import (
     gen_prop1_bipartite,
@@ -18,6 +22,8 @@ from pathcycle.graphs import (
     edge_count_between,
     parse_graph,
     parse_terminals,
+    serialize_graph,
+    serialize_terminals,
 )
 from pathcycle.tutte import evaluate_pair, parse_certificate, search_certificate
 from pathcycle.verify import check_terminal_set, find_induced_star
@@ -314,3 +320,55 @@ def test_write_instance_without_witness(tmp_path):
     files = write_instance(inst, tmp_path / "bip")
     assert not (tmp_path / "bip.witness").exists()
     assert (tmp_path / "bip.graph").exists()
+
+
+# -- pinned outputs ---------------------------------------------------------------------
+
+#: Every family at one or two parameter sets, the two largest glued ones
+#: among them: (7, 72) and r5(100) are the instances whose block checks
+#: exceed the essential-connectivity work bound.
+PINNED_FAMILIES = [
+    (gen_prop1_odd, (5, 6)), (gen_prop1_odd, (7, 8)),
+    (gen_prop1_even, (6, 6)), (gen_prop1_even, (8, 8)),
+    (gen_prop1_even, (10, 12)), (gen_prop1_even, (12, 12)),
+    (gen_prop1_bipartite, (4, 12)), (gen_prop1_bipartite, (5, 16)),
+    (gen_prop2_r4, (6,)), (gen_prop2_r4, (9,)),
+    (gen_prop2_general, (6, 50)), (gen_prop2_general, (7, 72)),
+    (gen_prop2_r5, (96,)), (gen_prop2_r5, (100,)),
+]
+
+#: SHA-256 over each instance of ``PINNED_FAMILIES`` in order: its graph,
+#: terminal set, witness, name map and claims, then the files
+#: ``write_instance`` writes for it.
+PINNED_FAMILIES_SHA256 = "7635bbf470011d11047bcf0e55133e6049967a9ef330342413983634cbcfa4ca"
+
+
+def test_family_outputs_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for i, (gen, args) in enumerate(PINNED_FAMILIES):
+        inst = gen(*args)
+        digest.update(serialize_graph(inst.graph).encode())
+        digest.update(serialize_terminals(inst.w).encode())
+        digest.update(repr((inst.witness, sorted(inst.name_map.items()), inst.claims)).encode())
+        for path in write_instance(inst, tmp_path / f"inst{i}"):
+            digest.update(path.suffix.encode() + path.read_bytes())
+    assert digest.hexdigest() == PINNED_FAMILIES_SHA256
+
+
+@pytest.mark.parametrize(
+    "gen, args",
+    [
+        (gen_prop1_odd, (201, 202)),
+        (gen_prop1_even, (202, 1000)),
+        (gen_prop1_bipartite, (3000, 9000)),
+        (gen_prop2_r4, (50001,)),
+        (gen_prop2_general, (6, 30000)),
+        (gen_prop2_r5, (44448,)),
+        (random_valid_instance, (6, 333334, 0)),
+    ],
+)
+def test_generators_refuse_instances_above_the_edge_limit(gen, args):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"above the limit of {families.MAX_EDGES}"):
+        gen(*args)
+    assert time.perf_counter() - started < 1.0

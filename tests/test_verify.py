@@ -109,7 +109,8 @@ def test_essential_matches_naive_on_random_graphs():
 
 def test_essential_undecided_beyond_bounds():
     g = cycle_graph(12)
-    rep = essential_edge_connectivity_at_least(g, 9, max_k=4, max_edges=5)
+    # work estimate 12 * 11 * ... * 5 * 12 = 239,500,800 > MAX_ESSENTIAL_WORK
+    rep = essential_edge_connectivity_at_least(g, 9)
     assert rep.holds is None
 
 
