@@ -76,6 +76,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    pair = args.s is not None or args.t is not None
+    if args.exhaustive + (args.witness is not None) + pair != 1 or (
+        pair and (args.s is None or args.t is None)
+    ):
+        print(
+            "certify needs exactly one of --exhaustive, --witness FILE, or --s with --t",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     g = _read_graph(args.graph)
     w = _read_terminals(args.terminals, g)
     f = degree_spec_from_terminals(g, w)
@@ -97,15 +106,18 @@ def _cmd_certify(args) -> int:
             )
             return EXIT_USAGE
         return EXIT_VIOLATION if cert.delta < 0 else EXIT_OK
-    if args.s is None or args.t is None:
-        print("certify needs --exhaustive, --witness FILE, or --s/--t", file=sys.stderr)
-        return EXIT_USAGE
     cert = evaluate_pair(g, f, _parse_list(args.s), _parse_list(args.t))
     sys.stdout.write(format_certificate(cert))
     return EXIT_VIOLATION if cert.delta < 0 else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    if args.terminals is not None and args.mode is None:
+        print("--terminals requires --mode distance3|nbhd1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.mode is not None and args.terminals is None:
+        print("--mode requires --terminals", file=sys.stderr)
+        return EXIT_USAGE
     g = _read_graph(args.graph)
     reports: list[PropertyReport] = []
     if args.regular is not None:
@@ -128,9 +140,6 @@ def _cmd_verify(args) -> int:
             )
         )
     if args.terminals is not None:
-        if args.mode is None:
-            print("--terminals requires --mode distance3|nbhd1", file=sys.stderr)
-            return EXIT_USAGE
         w = _read_terminals(args.terminals, g)
         reports.append(check_terminal_set(g, w, args.mode))
     if args.path_system_criterion:
@@ -146,6 +155,9 @@ def _cmd_verify(args) -> int:
         return EXIT_UNDECIDED
     return EXIT_OK
 
+
+#: every family parameter flag of ``generate``
+FAMILY_FLAGS = ("r", "k", "n", "m", "seed")
 
 #: family name -> (generator, the flags it takes in argument order)
 FAMILIES = {
@@ -170,6 +182,10 @@ def _cmd_generate(args) -> int:
         print(
             f"family {fam} requires --" + ", --".join(missing), file=sys.stderr
         )
+        return EXIT_USAGE
+    extra = [f for f in FAMILY_FLAGS if f not in flags and getattr(args, f) is not None]
+    if extra:
+        print(f"family {fam} does not take --" + ", --".join(extra), file=sys.stderr)
         return EXIT_USAGE
     inst = generator(*(getattr(args, flag) for flag in flags))
     for path in families.write_instance(inst, args.out):
@@ -230,11 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a family instance as files")
     p.add_argument("--family", required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
+    for flag in FAMILY_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 

@@ -329,7 +329,10 @@ def brute_force_f_factor(
 ) -> FFactor | None:
     """Exhaustive f-factor search with degree pruning; independent of the
     matching pipeline.  Raises UndecidedAtScaleError beyond ``max_edges``,
-    and ValueError when ``max_edges`` exceeds :data:`MAX_ORACLE_EDGES`."""
+    and ValueError when ``max_edges`` is negative or exceeds
+    :data:`MAX_ORACLE_EDGES`."""
+    if max_edges < 0:
+        raise ValueError(f"edge bound {max_edges} is negative")
     if max_edges > MAX_ORACLE_EDGES:
         raise ValueError(
             f"edge bound {max_edges} exceeds the oracle's limit of {MAX_ORACLE_EDGES}"

@@ -5,9 +5,12 @@ set W, an optional witness pair (S, T) whose deficiency certifies that no
 spanning path-cycle system with respect to W exists, a name map from
 construction labels to vertex indices, and the structural claims the
 instance is supposed to satisfy.  Claims are re-checkable through
-:mod:`pathcycle.verify`; generators assert the cheap ones (regularity,
-witness deficiency, terminal degree bounds) at construction time and
-leave the expensive ones (edge connectivity, star-freeness) to callers.
+:func:`verify_claims`.  Generators assert the cheap ones (regularity,
+witness deficiency, terminal degree bounds) at construction time; the
+glued Prop. 2 families also check their blocks' degrees and essential
+edge connectivity (unchecked above ``verify.MAX_ESSENTIAL_WORK``), and
+``prop2-general`` its second block's edge connectivity.  The whole
+instance's edge connectivity and star-freeness are left to callers.
 
 Families:
 
@@ -81,21 +84,32 @@ class FamilyInstance:
 # -- small builders ---------------------------------------------------------
 
 
-def _circulant_block(base: int, nv: int, offsets: Iterable[int]) -> set[tuple[int, int]]:
-    """Edges of a circulant on vertices base..base+nv-1."""
+def _circulant_block(nv: int, offsets: Iterable[int]) -> set[tuple[int, int]]:
+    """Edges of a circulant on vertices 0..nv-1."""
     edges: set[tuple[int, int]] = set()
     for off in offsets:
         if not 0 < off <= nv // 2:
             raise ValueError(f"offset {off} invalid for {nv} vertices")
         for i in range(nv):
-            j = (i + off) % nv
-            u, v = base + i, base + j
-            edges.add((min(u, v), max(u, v)))
+            edges.add(_norm(i, (i + off) % nv))
     return edges
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _apex_pairs(first: int, sets: Iterable[Iterable[int]]) -> set[tuple[int, int]]:
+    """Edges of the apex pairs (first + 2i, first + 2i + 1), each pair
+    joined to each other and to every vertex of the i-th set."""
+    edges: set[tuple[int, int]] = set()
+    for i, vertices in enumerate(sets):
+        a = first + 2 * i
+        edges.add((a, a + 1))
+        for v in vertices:
+            edges.add(_norm(a, v))
+            edges.add(_norm(a + 1, v))
+    return edges
 
 
 def _check_size(n: int, r: int) -> None:
@@ -140,80 +154,55 @@ def _assert_generated(inst: FamilyInstance) -> FamilyInstance:
     return inst
 
 
-# -- family 1: odd r, edge connectivity r-1 ---------------------------------
+# -- families 1 and 2: hubs plus circulant blocks, edge connectivity < r -----
 
 
-@lru_cache(maxsize=None)
-def gen_prop1_odd(r: int, k: int) -> FamilyInstance:
-    """Odd r >= 5, even k >= r+1.
+_Block = tuple[int, set[tuple[int, int]], Sequence[int], int]
 
-    2r hub vertices plus 2r+2 blocks: 2r+1 copies of a near-(r-regular)
-    circulant-with-chords block H on r+k-1 vertices and one enlarged block
-    H* on r+k+1 vertices.  Hubs form W together with one deep vertex per
-    block; removing the hubs leaves 2r+2 odd blocks, so the pair
-    (S, T) = (hubs, empty) has deficiency 2r - (2r+2) = -2.
+
+def _hub_family(
+    name: str,
+    r: int,
+    hub_count: int,
+    blocks: Sequence[_Block],
+    diagonal_hubs: Sequence[int],
+    lam: int,
+) -> FamilyInstance:
+    """Shared assembly for the two Prop. 1 families.
+
+    Hubs x_1..x_{hub_count} come first, then the blocks H_1, H_2, ... in
+    order.  Each block is (vertex count, its edges on 0.., its deficient
+    vertices d_0, d_1, ..., its terminal index).  Block j <= hub_count
+    attaches d_0 and d_1 to x_j and d_t to x_{j+t-1}, wrapping modulo
+    hub_count; block hub_count + i attaches d_t to the 0-based hub
+    ``diagonal_hubs[i] + t``.  W is the hubs plus each block's terminal.
+    Removing the hubs leaves hub_count + 2 odd blocks, so the pair
+    (S, T) = (hubs, empty) has deficiency -2.
     """
-    if r < 5 or r % 2 == 0:
-        raise ValueError("r must be odd and >= 5")
-    if k < r + 1 or k % 2 != 0:
-        raise ValueError("k must be even and >= r+1")
-    half = (r - 1) // 2
-    kk = k // 2
-    nh = r + k - 1       # block H
-    ns = r + k + 1       # block H*
-    hub_count = 2 * r
-    _check_size(hub_count + (2 * r + 1) * nh + ns, r)
     names: dict[str, int] = {f"x_{i + 1}": i for i in range(hub_count)}
     edges: set[tuple[int, int]] = set()
-    starts: list[int] = []
-    pos = hub_count
-    for j in range(1, 2 * r + 2):  # copies H_1..H_{2r+1}
-        starts.append(pos)
-        for tt in range(nh):
-            names[f"H_{j}:v_{tt}"] = pos + tt
-        edges |= _circulant_block(pos, nh, range(1, half + 1))
-        for s_idx in range(r - 1, r + kk - 1):
-            edges.add(_norm(pos + s_idx, pos + (s_idx + kk) % nh))
-        pos += nh
-    star_start = pos
-    starts.append(star_start)
-    for tt in range(ns):
-        names[f"H_{2 * r + 2}:v_{tt}"] = star_start + tt
-    edges |= _circulant_block(star_start, ns, range(1, half + 1))
-    for s_idx in range(r + 1, r + kk + 1):
-        edges.add(_norm(star_start + s_idx, star_start + (s_idx + kk) % ns))
-    pos += ns
-
-    def hub(i: int) -> int:  # x_i label, 1-based, wrapping modulo 2r
-        return (i - 1) % hub_count
-
-    for j in range(1, 2 * r + 1):  # attachments of H_1..H_{2r}
-        base = starts[j - 1]
-        edges.add(_norm(base + 0, hub(j)))
-        edges.add(_norm(base + 1, hub(j)))
-        for tt in range(2, r - 1):
-            edges.add(_norm(base + tt, hub(j + tt - 1)))
-    # deficient vertices of H_{2r+1} and H* take the remaining hub slots
-    base = starts[2 * r]
-    for tt in range(r - 1):
-        edges.add(_norm(base + tt, tt))               # x_1..x_{r-1}
-    for tt in range(r + 1):
-        edges.add(_norm(star_start + tt, r - 1 + tt))  # x_r..x_{2r}
-
-    g = Graph(pos, edges)
     w = list(range(hub_count))
-    w += [starts[j] + (r + kk - 2) for j in range(2 * r + 1)]
-    w.append(star_start + (r + kk))
-    witness: Witness = (tuple(range(hub_count)), (), -2)
+    pos = hub_count
+    for j, (nv, block_edges, deficient, w_idx) in enumerate(blocks):
+        for t in range(nv):
+            names[f"H_{j + 1}:v_{t}"] = pos + t
+        edges.update((pos + u, pos + v) for u, v in block_edges)
+        if j < hub_count:
+            hubs = [(j + max(t - 1, 0)) % hub_count for t in range(len(deficient))]
+        else:
+            hubs = [diagonal_hubs[j - hub_count] + t for t in range(len(deficient))]
+        edges.update(_norm(pos + d, x) for d, x in zip(deficient, hubs))
+        w.append(pos + w_idx)
+        pos += nv
     return _assert_generated(
         FamilyInstance(
-            name="prop1-odd",
-            graph=g,
+            name=name,
+            graph=Graph(pos, edges),
             w=tuple(sorted(w)),
-            witness=witness,
+            witness=(tuple(range(hub_count)), (), -2),
             name_map=names,
             r=r,
-            edge_connectivity_value=r - 1,
+            edge_connectivity_value=lam,
             edge_connectivity_exact=True,
             star_free=True,
             terminal_mode="distance3",
@@ -221,20 +210,44 @@ def gen_prop1_odd(r: int, k: int) -> FamilyInstance:
     )
 
 
-# -- family 2: even r, edge connectivity r-2 ---------------------------------
+@lru_cache(maxsize=None)
+def gen_prop1_odd(r: int, k: int) -> FamilyInstance:
+    """Odd r >= 5, even k >= r+1: edge connectivity r-1.
+
+    2r hubs plus 2r+2 blocks: 2r+1 copies of a near-(r-regular)
+    circulant-with-chords block H on r+k-1 vertices and one enlarged block
+    H* on r+k+1 vertices.  The deficient vertices of H_1..H_{2r} attach to
+    the hubs shifted, those of H_{2r+1} to x_1..x_{r-1} and those of H* to
+    x_r..x_{2r}; each block contributes one deep vertex to W.
+    """
+    if r < 5 or r % 2 == 0:
+        raise ValueError("r must be odd and >= 5")
+    if k < r + 1 or k % 2 != 0:
+        raise ValueError("k must be even and >= r+1")
+    half = (r - 1) // 2
+    kk = k // 2
+    _check_size(2 * r + (2 * r + 1) * (r + k - 1) + r + k + 1, r)
+
+    def block(nv: int, d: int) -> _Block:  # deficient v_0..v_{d-1}, then kk chords
+        edges = _circulant_block(nv, range(1, half + 1))
+        edges.update(_norm(s, (s + kk) % nv) for s in range(d, d + kk))
+        return nv, edges, range(d), d + kk - 1
+
+    blocks = [block(r + k - 1, r - 1)] * (2 * r + 1) + [block(r + k + 1, r + 1)]
+    return _hub_family("prop1-odd", r, 2 * r, blocks, (0, r - 1), r - 1)
 
 
 @lru_cache(maxsize=None)
 def gen_prop1_even(r: int, k: int) -> FamilyInstance:
-    """Even r, k >= r (even k required when r % 4 == 0).
+    """Even r, k >= r (even k required when r % 4 == 0): edge connectivity r-2.
 
     r-2 hubs plus r copies of a circulant block with a short list of
     deleted chords; the r-2 degree-deficient vertices of each copy attach
-    to hubs.  For r % 4 == 2 the block has r+k+1 vertices, deleting
+    to hubs, shifted for the first r-2 copies and onto x_1..x_{r-2} for the
+    last two.  For r % 4 == 2 the block has r+k+1 vertices, deleting
     (0,2),(1,3),(4,6),(5,7),...; for r % 4 == 0 it has r+k vertices with
     the extra deletion (r-4, r-2), and the deficient vertices are taken in
-    an order that keeps consecutive ones adjacent.  The witness is again
-    (hubs, empty): f(S) = r-2 against r odd blocks gives deficiency -2.
+    an order that keeps consecutive ones adjacent.
     """
     if r % 2 != 0:
         raise ValueError("r must be even")
@@ -247,7 +260,6 @@ def gen_prop1_even(r: int, k: int) -> FamilyInstance:
     if r % 4 == 0 and k % 2 != 0:
         raise ValueError("k must be even when r % 4 == 0")
 
-    hub_count = r - 2
     if r % 4 == 2:
         nv = r + k + 1
         deleted = []
@@ -264,52 +276,10 @@ def gen_prop1_even(r: int, k: int) -> FamilyInstance:
         # consecutive entries adjacent: swap v_{r-5}, v_{r-4}; append v_{r-2}
         deficient = list(range(r - 5)) + [r - 4, r - 5, r - 2]
         w_idx = (3 * r - 2) // 2
-    _check_size(hub_count + r * nv, r)
-
-    names: dict[str, int] = {f"x_{i + 1}": i for i in range(hub_count)}
-    edges: set[tuple[int, int]] = set()
-    starts: list[int] = []
-    pos = hub_count
-    for j in range(1, r + 1):
-        starts.append(pos)
-        for tt in range(nv):
-            names[f"H_{j}:v_{tt}"] = pos + tt
-        block = _circulant_block(pos, nv, range(1, r // 2 + 1))
-        for a, b in deleted:
-            block.discard(_norm(pos + a, pos + b))
-        edges |= block
-        pos += nv
-
-    def hub(i: int) -> int:
-        return (i - 1) % hub_count
-
-    for j in range(1, hub_count + 1):  # shifted attachments, copies 1..r-2
-        base = starts[j - 1]
-        edges.add(_norm(base + deficient[0], hub(j)))
-        edges.add(_norm(base + deficient[1], hub(j)))
-        for tt in range(2, r - 2):
-            edges.add(_norm(base + deficient[tt], hub(j + tt - 1)))
-    for j in (r - 1, r):               # diagonal attachments, last two copies
-        base = starts[j - 1]
-        for tt in range(r - 2):
-            edges.add(_norm(base + deficient[tt], tt))
-
-    g = Graph(pos, edges)
-    w = list(range(hub_count)) + [starts[j] + w_idx for j in range(r)]
-    witness: Witness = (tuple(range(hub_count)), (), -2)
-    return _assert_generated(
-        FamilyInstance(
-            name="prop1-even",
-            graph=g,
-            w=tuple(sorted(w)),
-            witness=witness,
-            name_map=names,
-            r=r,
-            edge_connectivity_value=r - 2,
-            edge_connectivity_exact=True,
-            star_free=True,
-            terminal_mode="distance3",
-        )
+    _check_size(r - 2 + r * nv, r)
+    edges = _circulant_block(nv, range(1, r // 2 + 1)) - set(deleted)
+    return _hub_family(
+        "prop1-even", r, r - 2, [(nv, edges, deficient, w_idx)] * r, (0, 0), r - 2
     )
 
 
@@ -376,35 +346,22 @@ def gen_prop2_r4(n: int) -> FamilyInstance:
     def y(i: int) -> int:
         return 2 * ((i - 1) % m3) + 1
 
-    a_start, b_start = 6 * n, 8 * n
-
-    def a(j: int) -> int:
-        return a_start + j - 1
-
-    def b(j: int) -> int:
-        return b_start + j - 1
-
+    a_start, b_start = 6 * n, 8 * n  # a_j is a_start + j - 1, b_j likewise
     edges: set[tuple[int, int]] = set()
     for i in range(1, m3 + 1):
         edges.add(_norm(x(i), y(i)))
         edges.add(_norm(y(i), x(i + 1)))
-    for i in range(1, n + 1):
-        edges.add(_norm(a(2 * i - 1), a(2 * i)))
-        edges.add(_norm(b(2 * i - 1), b(2 * i)))
-        for xi in (x(i), x(i + n), x(i + 2 * n)):
-            edges.add(_norm(a(2 * i - 1), xi))
-            edges.add(_norm(a(2 * i), xi))
-        for yi in (y(3 * i - 2), y(3 * i - 1), y(3 * i)):
-            edges.add(_norm(b(2 * i - 1), yi))
-            edges.add(_norm(b(2 * i), yi))
+    a_sets = ((x(i), x(i + n), x(i + 2 * n)) for i in range(1, n + 1))
+    b_sets = ((y(3 * i - 2), y(3 * i - 1), y(3 * i)) for i in range(1, n + 1))
+    edges |= _apex_pairs(a_start, a_sets) | _apex_pairs(b_start, b_sets)
     g = Graph(10 * n, edges)
-    w = tuple(sorted([x(i) for i in range(n + 1, m3 + 1)] + [b(1), b(3)]))
-    s = tuple(sorted([x(i) for i in range(1, m3 + 1)] + [b(j) for j in range(1, 2 * n + 1)]))
-    t = tuple(sorted([y(i) for i in range(1, m3 + 1)] + [a(j) for j in range(1, 2 * n + 1)]))
+    w = tuple(sorted([x(i) for i in range(n + 1, m3 + 1)] + [b_start, b_start + 2]))
+    s = tuple(sorted([x(i) for i in range(1, m3 + 1)] + list(range(b_start, 10 * n))))
+    t = tuple(sorted([y(i) for i in range(1, m3 + 1)] + list(range(a_start, b_start))))
     names = {f"x_{i}": x(i) for i in range(1, m3 + 1)}
     names.update({f"y_{i}": y(i) for i in range(1, m3 + 1)})
-    names.update({f"a_{j}": a(j) for j in range(1, 2 * n + 1)})
-    names.update({f"b_{j}": b(j) for j in range(1, 2 * n + 1)})
+    names.update({f"a_{j + 1}": a_start + j for j in range(2 * n)})
+    names.update({f"b_{j + 1}": b_start + j for j in range(2 * n)})
     return _assert_generated(
         FamilyInstance(
             name="prop2-r4",
@@ -476,7 +433,7 @@ def _glued_family(
     """
     n_apex = (r - 2) * m // (r - 1)
     x1_count = 2 * m
-    base_edges = sorted(_circulant_block(0, x1_count, m1_offsets))
+    base_edges = sorted(_circulant_block(x1_count, m1_offsets))
     y_count = len(base_edges)
     if y_count != (r - 2) * m:
         raise AssertionError("block sizes disagree with the glue count")
@@ -516,22 +473,15 @@ def _glued_family(
     pool = list(range(2 * n_apex, y_start))
     if len(pool) != n_apex * (r - 3):
         raise AssertionError("apex pool does not split into r - 3 vertices per apex")
-    for i in range(n_apex):
-        a1, a2 = a_start + 2 * i, a_start + 2 * i + 1
-        edges.add(_norm(a1, a2))
-        for v in [2 * i, 2 * i + 1] + pool[i * (r - 3):(i + 1) * (r - 3)]:
-            edges.add(_norm(a1, v))
-            edges.add(_norm(a2, v))
+    edges |= _apex_pairs(
+        a_start,
+        ([2 * i, 2 * i + 1] + pool[i * (r - 3):(i + 1) * (r - 3)] for i in range(n_apex)),
+    )
     if len(b_sets) != n_apex:
         raise AssertionError("one b-set per apex is required")
     if sorted(v for bs in b_sets for v in bs) != list(range(y_count)):
         raise AssertionError("b-sets must partition the y labels")
-    for i in range(n_apex):
-        b1, b2 = b_start + 2 * i, b_start + 2 * i + 1
-        edges.add(_norm(b1, b2))
-        for label in b_sets[i]:
-            edges.add(_norm(b1, y_start + label))
-            edges.add(_norm(b2, y_start + label))
+    edges |= _apex_pairs(b_start, ([y_start + label for label in bs] for bs in b_sets))
 
     g = Graph(total, edges)
     w = tuple(range(2 * n_apex)) + (b_start + w_b_labels[0], b_start + w_b_labels[1])
@@ -728,7 +678,7 @@ def random_valid_instance(r: int, size: int, seed: int) -> FamilyInstance:
                 nv = max(nv, 10)
                 nv += nv % 2
                 offsets = (1, 2, nv // 2)
-            g = Graph(nv, _circulant_block(0, nv, offsets))
+            g = Graph(nv, _circulant_block(nv, offsets))
         hyp = GraphHypotheses.compute(g, r)
         if not (hyp.regular and hyp.star_free and hyp.edge_connected):
             continue

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 import time
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pathcycle.cli import run
+from pathcycle.cli import build_parser, run
 from pathcycle.families import gen_prop1_odd, write_instance
 from pathcycle.graphs import serialize_graph, serialize_terminals
 
@@ -73,6 +75,13 @@ def test_oracle_edge_bound_above_limit_is_usage_error(files, empty_w, capsys):
     assert "exceeds the oracle's limit of 64" in capsys.readouterr().err
 
 
+def test_oracle_negative_edge_bound_is_usage_error(files, empty_w, capsys):
+    c4 = files("c4.graph", serialize_graph(cycle_graph(4)))
+    assert run(["oracle", "--graph", c4, "--terminals", empty_w, "--max-edges", "-1"]) == 2
+    assert "edge bound -1 is negative" in capsys.readouterr().err
+    assert run(["oracle", "--graph", c4, "--terminals", empty_w, "--max-edges", "0"]) == 3
+
+
 def test_certify_exhaustive_finds_witness(capsys, c5, w02):
     assert run(["certify", "--graph", c5, "--terminals", w02, "--exhaustive"]) == 1
     out = capsys.readouterr().out
@@ -92,6 +101,24 @@ def test_certify_explicit_pair(capsys, c5, w02):
 
 def test_certify_requires_a_mode(c5, w02):
     assert run(["certify", "--graph", c5, "--terminals", w02]) == 2
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--exhaustive", "--witness", "@missing"],
+        ["--exhaustive", "--s", "", "--t", "1,3"],
+        ["--witness", "@witness", "--s", "", "--t", "1,3"],
+    ],
+)
+def test_certify_takes_one_mode(files, capsys, c5, w02, modes):
+    witness = files("c5.witness", "S:\nT: 1 3\ndelta: -2\nodd: 2\ncomp: 0 4\ncomp: 2\n")
+    paths = {"@missing": witness + ".missing", "@witness": witness}
+    argv = ["certify", "--graph", c5, "--terminals", w02] + [paths.get(m, m) for m in modes]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certify needs exactly one of" in captured.err
 
 
 def test_certify_bound_exceeded(files):
@@ -181,6 +208,12 @@ def test_verify_terminal_modes(capsys, files, c5):
     assert run(["verify", "--graph", c5, "--terminals", wfile]) == 2  # no mode
 
 
+def test_verify_mode_requires_terminals(capsys, c5):
+    assert run(["verify", "--graph", c5, "--regular", "2", "--mode", "nbhd1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "--mode requires --terminals\n"
+
+
 def test_verify_requires_some_check(c5):
     assert run(["verify", "--graph", c5]) == 2
 
@@ -213,6 +246,13 @@ def test_generate_usage_messages(tmp_path, capsys):
     assert run(["generate", "--family", "random", "--r", "4",
                 "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == "family random requires --n, --seed\n"
+
+
+def test_generate_rejects_flags_the_family_does_not_take(tmp_path, capsys):
+    assert run(["generate", "--family", "prop1-odd", "--r", "5", "--k", "6", "--n", "3",
+                "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "family prop1-odd does not take --n\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -273,3 +313,21 @@ def test_missing_file(empty_w):
 
 def test_unknown_flag():
     assert run(["solve", "--graph", "x", "--nope", "y"]) == 2
+
+
+def test_readme_command_line_section_names_every_subcommand_and_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = []
+    for name, sub in subparsers.choices.items():
+        if f"pathcycle {name} " not in section:
+            missing.append(name)
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt.startswith("--") and opt != "--help" and not re.search(
+                    re.escape(opt) + r"(?![\w-])", section
+                ):
+                    missing.append(f"{name} {opt}")
+    assert not missing, f"README 'Command line' section lacks: {missing}"

@@ -324,13 +324,14 @@ def test_write_instance_without_witness(tmp_path):
 
 # -- pinned outputs ---------------------------------------------------------------------
 
-#: Every family at one or two parameter sets, the two largest glued ones
+#: Every family at two or more parameter sets, the two largest glued ones
 #: among them: (7, 72) and r5(100) are the instances whose block checks
-#: exceed the essential-connectivity work bound.
+#: exceed the essential-connectivity work bound.  The Prop. 1 sets cover
+#: k > r + 1, odd k, and r % 4 == 0 with k > r.
 PINNED_FAMILIES = [
-    (gen_prop1_odd, (5, 6)), (gen_prop1_odd, (7, 8)),
-    (gen_prop1_even, (6, 6)), (gen_prop1_even, (8, 8)),
-    (gen_prop1_even, (10, 12)), (gen_prop1_even, (12, 12)),
+    (gen_prop1_odd, (5, 6)), (gen_prop1_odd, (7, 8)), (gen_prop1_odd, (5, 8)),
+    (gen_prop1_even, (6, 6)), (gen_prop1_even, (6, 7)), (gen_prop1_even, (8, 8)),
+    (gen_prop1_even, (8, 10)), (gen_prop1_even, (10, 12)), (gen_prop1_even, (12, 12)),
     (gen_prop1_bipartite, (4, 12)), (gen_prop1_bipartite, (5, 16)),
     (gen_prop2_r4, (6,)), (gen_prop2_r4, (9,)),
     (gen_prop2_general, (6, 50)), (gen_prop2_general, (7, 72)),
@@ -340,7 +341,7 @@ PINNED_FAMILIES = [
 #: SHA-256 over each instance of ``PINNED_FAMILIES`` in order: its graph,
 #: terminal set, witness, name map and claims, then the files
 #: ``write_instance`` writes for it.
-PINNED_FAMILIES_SHA256 = "7635bbf470011d11047bcf0e55133e6049967a9ef330342413983634cbcfa4ca"
+PINNED_FAMILIES_SHA256 = "7c9aae5dcf94c138e0d6ac69cc4d6cd4d465f9e22ac2833817ac7da1f504d5aa"
 
 
 def test_family_outputs_are_pinned(tmp_path):
