@@ -110,7 +110,9 @@ def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
         next_port[v] += 1
         edges.append(pair)
         port_pairs.append(pair)
-    return GadgetGraph(g, f, Graph(start[-1], edges), tuple(start), tuple(port_pairs))
+    # ports precede their cores and u < v gives ports(u) < ports(v), so
+    # every pair is distinct and ordered
+    return GadgetGraph(g, f, Graph._trusted(start[-1], edges), tuple(start), tuple(port_pairs))
 
 
 @dataclass(frozen=True)

@@ -760,6 +760,9 @@ def write_instance(inst: FamilyInstance, prefix: str | Path) -> list[Path]:
     """Emit <prefix>.graph/.terminals/.names and, when present, .witness."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
+    # fresh files: no stale witness survives, and no truncating rewrite
+    for suffix in (".graph", ".terminals", ".names", ".witness"):
+        prefix.with_suffix(suffix).unlink(missing_ok=True)
     written = []
     gpath = prefix.with_suffix(".graph")
     gpath.write_text(

@@ -61,6 +61,21 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self._masks: tuple[int, ...] | None = None
 
+    @classmethod
+    def _trusted(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
+        """The graph ``Graph(n, edges)``, for callers whose edges are distinct
+        pairs u < v in 0..n-1 by construction; skips the checks."""
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = tuple(sorted(edges))
+        g._adj = tuple(tuple(sorted(a)) for a in adj)
+        g._masks = None
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     @property

@@ -97,20 +97,35 @@ def _max_flow_unit(g: Graph, source: int, sink: int) -> tuple[int, set[int]]:
 def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Global edge connectivity and one minimum edge cut.
 
-    Computed as the minimum over v != 0 of max-flow(0, v) with unit edge
-    capacities.  Returns (0, ()) for disconnected or trivial graphs; for
-    n >= 2 the value is 0 exactly when the graph is disconnected.
+    lambda = min(delta, min over d in D - {d0} of max-flow(d0, d)) with unit
+    edge capacities, for any dominating set D with first vertex d0 (D. W.
+    Matula, "Determining edge connectivity in O(nm)", FOCS 1987).  If
+    lambda < delta, each shore X of a minimum cut has more than delta
+    vertices (fewer would send |X|(delta - |X| + 1) >= delta edges out), so
+    X holds a vertex without cut edges, and D dominates it from inside X.
+    D is a greedy maximal independent set in index order.  The cut starts
+    as the star of the lowest vertex of minimum degree and is replaced only
+    by a strictly smaller flow cut.  Returns (0, ()) for disconnected or
+    trivial graphs; for n >= 2 the value is 0 exactly when the graph is
+    disconnected.
     """
     if g.n <= 1:
         return 0, ()
-    best = None
-    best_side: set[int] = set()
-    for v in range(1, g.n):
-        value, side = _max_flow_unit(g, 0, v)
-        if best is None or value < best:
+    v0 = min(range(g.n), key=g.degree)
+    best, best_side = g.degree(v0), {v0}
+    blocked = [False] * g.n
+    dominating = []
+    for v in range(g.n):
+        if not blocked[v]:
+            dominating.append(v)
+            for u in g.neighbors(v):
+                blocked[u] = True
+    for d in dominating[1:]:
+        if best == 0:
+            break
+        value, side = _max_flow_unit(g, dominating[0], d)
+        if value < best:
             best, best_side = value, side
-            if best == 0:
-                break
     cut = tuple(
         e for e in g.edges if (e[0] in best_side) != (e[1] in best_side)
     )

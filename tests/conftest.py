@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -56,6 +57,114 @@ def brute_max_matching_size(g: Graph) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+def reference_matching_mates(n: int, adj) -> list[int]:
+    """Mate array of the blossom search before dead trees and member
+    lists: every search resets all n vertices and rescans them per
+    blossom.  The matcher must return exactly this array."""
+    mate = [-1] * n
+
+    # greedy maximal matching in index order
+    for u in range(n):
+        if mate[u] < 0:
+            for v in adj[u]:
+                if mate[v] < 0:
+                    mate[u] = v
+                    mate[v] = u
+                    break
+
+    parent = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+
+    def lca(a: int, b: int) -> int:
+        hit = [False] * n
+        x = base[a]
+        while True:
+            hit[x] = True
+            if mate[x] < 0:
+                break
+            x = base[parent[mate[x]]]
+        y = base[b]
+        while not hit[y]:
+            y = base[parent[mate[y]]]
+        return y
+
+    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def find_augmenting(root: int) -> int:
+        for i in range(n):
+            parent[i] = -1
+            base[i] = i
+            used[i] = False
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
+                    # odd cycle through two even vertices: contract the blossom
+                    cur_base = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur_base, to, in_blossom)
+                    mark_path(to, cur_base, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur_base
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] < 0:
+                    parent[to] = v
+                    if mate[to] < 0:
+                        return to
+                    used[mate[to]] = True
+                    queue.append(mate[to])
+        return -1
+
+    for root in range(n):
+        if mate[root] >= 0:
+            continue
+        finish = find_augmenting(root)
+        if finish >= 0:
+            v = finish
+            while v >= 0:
+                pv = parent[v]
+                ppv = mate[pv]
+                mate[v] = pv
+                mate[pv] = v
+                v = ppv
+    return mate
+
+
+def reference_edge_connectivity(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Edge connectivity and a cut from n - 1 unit flows, vertex 0 to each
+    other vertex: the loop before the dominating-set bound."""
+    from pathcycle.verify import _max_flow_unit
+
+    if g.n <= 1:
+        return 0, ()
+    best = None
+    best_side: set[int] = set()
+    for v in range(1, g.n):
+        value, side = _max_flow_unit(g, 0, v)
+        if best is None or value < best:
+            best, best_side = value, side
+            if best == 0:
+                break
+    cut = tuple(
+        e for e in g.edges if (e[0] in best_side) != (e[1] in best_side)
+    )
+    return best, cut
 
 
 def naive_least_violation(g: Graph, f):
@@ -167,6 +276,28 @@ def sample_even_terminal_sets(
 
 
 # -- corpora -----------------------------------------------------------------
+
+
+#: The sharpness instances of the counterexamples benchmark workload, as
+#: (generator name in ``pathcycle.families``, parameters).
+COUNTEREXAMPLE_LADDER = [
+    ("gen_prop2_r4", (6,)), ("gen_prop2_r4", (8,)), ("gen_prop2_r4", (10,)),
+    ("gen_prop2_r4", (12,)), ("gen_prop2_r4", (14,)),
+    ("gen_prop1_even", (6, 6)), ("gen_prop1_even", (6, 8)),
+    ("gen_prop1_odd", (5, 6)), ("gen_prop1_odd", (5, 8)),
+    ("gen_prop1_even", (8, 8)), ("gen_prop1_even", (10, 12)),
+]
+
+
+def counterexample_gadgets():
+    """(label, gadget graph) for every instance of the ladder."""
+    from pathcycle import families
+    from pathcycle.factor import build_gadget, degree_spec_from_terminals
+
+    for gen, params in COUNTEREXAMPLE_LADDER:
+        inst = getattr(families, gen)(*params)
+        f = degree_spec_from_terminals(inst.graph, inst.w)
+        yield f"{gen}{params}", build_gadget(inst.graph, f).graph
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from pathcycle.matching import maximum_matching
 
 from .conftest import (
     complete_graph,
+    counterexample_gadgets,
     cycle_graph,
     random_connected_graph,
     random_graph,
@@ -114,6 +115,28 @@ def test_gadget_structure_on_random_specs():
         assert gg.graph.edge_count == g.edge_count + sum(
             g.degree(v) * (g.degree(v) - f[v]) for v in range(g.n)
         )
+
+
+def test_gadget_graph_equals_the_checked_constructor(monkeypatch):
+    built = []
+    trusted = Graph._trusted
+
+    def recording(n, edges):
+        graph = trusted(n, edges)
+        built.append((n, list(edges), graph))
+        return graph
+
+    monkeypatch.setattr(Graph, "_trusted", staticmethod(recording))
+    labels = [label for label, _ in counterexample_gadgets()]
+    rng = random.Random(31)
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(0, 13), rng.uniform(0.1, 0.9))
+        build_gadget(g, DegreeSpec(tuple(rng.randrange(g.degree(v) + 1) for v in range(g.n))))
+    assert len(built) == len(labels) + 150
+    for n, edges, graph in built:
+        checked = Graph(n, edges)
+        assert graph.n == n
+        assert graph.edges == checked.edges and graph._adj == checked._adj
 
 
 def test_gadget_rejects_oversized_f():

@@ -322,6 +322,17 @@ def test_write_instance_without_witness(tmp_path):
     assert (tmp_path / "bip.graph").exists()
 
 
+def test_write_instance_replaces_every_file_of_the_prefix(tmp_path):
+    write_instance(gen_prop2_r4(6), tmp_path / "x")
+    inst = random_valid_instance(4, 20, 1)
+    assert inst.witness is None
+    files = write_instance(inst, tmp_path / "x")
+    assert not (tmp_path / "x.witness").exists()  # no witness of the old graph
+    assert sorted(tmp_path.iterdir()) == sorted(files)
+    fresh = write_instance(inst, tmp_path / "fresh" / "x")
+    assert [p.read_bytes() for p in files] == [p.read_bytes() for p in fresh]
+
+
 # -- pinned outputs ---------------------------------------------------------------------
 
 #: Every family at two or more parameter sets, the two largest glued ones

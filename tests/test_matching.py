@@ -2,13 +2,16 @@ import itertools
 import random
 
 from pathcycle.graphs import Graph
-from pathcycle.matching import maximum_matching
+from pathcycle.matching import _maximum_matching_mates, maximum_matching
 
 from .conftest import (
     brute_max_matching_size,
     complete_graph,
+    counterexample_gadgets,
     cycle_graph,
     petersen_graph,
+    random_graph,
+    reference_matching_mates,
 )
 
 
@@ -72,3 +75,21 @@ def test_blossom_heavy_graphs():
 def test_deterministic():
     g = petersen_graph()
     assert maximum_matching(g).pairs == maximum_matching(g).pairs
+
+
+def test_mates_equal_the_reference_on_random_graphs():
+    # sparse graphs leave many exposed roots, so many searches fail and
+    # their dead trees are skipped by every later search
+    rng = random.Random(41)
+    for _ in range(3000):
+        g = random_graph(rng, rng.randrange(0, 41), rng.choice((0.03, 0.06, 0.1, 0.2, 0.4)))
+        assert _maximum_matching_mates(g.n, g._adj) == reference_matching_mates(g.n, g._adj), (
+            g.n, g.edges,
+        )
+
+
+def test_mates_equal_the_reference_on_counterexample_gadgets():
+    for label, gadget in counterexample_gadgets():
+        mates = _maximum_matching_mates(gadget.n, gadget._adj)
+        assert mates == reference_matching_mates(gadget.n, gadget._adj), label
+        assert mates.count(-1) == 2, label  # each leaves two vertices exposed

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pathcycle import families, verify
 from pathcycle.graphs import Graph, components_after_removal
 from pathcycle.verify import (
     check_regular,
@@ -14,6 +15,7 @@ from pathcycle.verify import (
 )
 
 from .conftest import (
+    COUNTEREXAMPLE_LADDER,
     complete_graph,
     cycle_graph,
     naive_nbhd1_violation,
@@ -21,6 +23,7 @@ from .conftest import (
     petersen_graph,
     random_connected_graph,
     random_graph,
+    reference_edge_connectivity,
     star_graph,
 )
 
@@ -61,6 +64,70 @@ def test_edge_connectivity_cut_witness_disconnects():
         assert len(cut) == lam
         kept = [e for e in g.edges if e not in set(cut)]
         assert len(components_after_removal(Graph(g.n, kept), [])) >= 2
+
+
+def _assert_minimum_cut(g, lam, cut):
+    assert len(cut) == lam and set(cut) <= set(g.edges)
+    if g.n >= 2:
+        kept = [e for e in g.edges if e not in set(cut)]
+        assert len(components_after_removal(Graph(g.n, kept), [])) >= 2
+
+
+def test_edge_connectivity_equals_the_reference_on_family_instances():
+    points = [(getattr(families, gen), params) for gen, params in COUNTEREXAMPLE_LADDER] + [
+        (families.gen_prop1_odd, (7, 8)),
+        (families.gen_prop1_even, (6, 7)),
+        (families.gen_prop1_bipartite, (4, 12)),
+        (families.gen_prop1_bipartite, (5, 16)),
+        (families.gen_prop2_r4, (9,)),
+        (families.random_valid_instance, (4, 60, 1)),
+        (families.random_valid_instance, (6, 40, 2)),
+    ]
+    for gen, params in points:
+        g = gen(*params).graph
+        lam, cut = edge_connectivity(g)
+        assert lam == reference_edge_connectivity(g)[0], (gen.__name__, params)
+        _assert_minimum_cut(g, lam, cut)
+
+
+def test_edge_connectivity_equals_the_reference_on_random_graphs():
+    rng = random.Random(17)
+    for i in range(300):
+        g = random_graph(rng, rng.randrange(0, 25), rng.choice((0.08, 0.15, 0.3, 0.6, 0.9)))
+        if i % 3 == 0:  # isolated vertices, at either end of the index order
+            shift = rng.randrange(3)
+            extra = shift + rng.randrange(3)
+            g = Graph(g.n + extra, [(u + shift, v + shift) for u, v in g.edges])
+        lam, cut = edge_connectivity(g)
+        assert lam == reference_edge_connectivity(g)[0], (g.n, g.edges)
+        _assert_minimum_cut(g, lam, cut)
+
+
+def test_edge_connectivity_witness_may_be_a_vertex_star():
+    # K4 plus a pendant path: delta = 1 is attained by vertex 5's star
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    assert edge_connectivity(g) == (1, ((4, 5),))
+    assert edge_connectivity(complete_graph(5)) == (4, ((0, 1), (0, 2), (0, 3), (0, 4)))
+
+
+@pytest.mark.parametrize(
+    "gen, params, bound",
+    # the n - 1 loop ran 237 and 139 flows on these
+    [("gen_prop1_even", (10, 12), 40), ("gen_prop2_r4", (14,), 60)],
+)
+def test_edge_connectivity_flow_count_stays_bounded(monkeypatch, gen, params, bound):
+    calls = 0
+    real = verify._max_flow_unit
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    g = getattr(families, gen)(*params).graph
+    monkeypatch.setattr(verify, "_max_flow_unit", counting)
+    edge_connectivity(g)
+    assert 0 < calls <= bound
 
 
 # -- essential edge connectivity --------------------------------------------------
