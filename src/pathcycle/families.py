@@ -8,9 +8,9 @@ instance is supposed to satisfy.  Claims are re-checkable through
 :func:`verify_claims`.  Generators assert the cheap ones (regularity,
 witness deficiency, terminal degree bounds) at construction time; the
 glued Prop. 2 families also check their blocks' degrees and essential
-edge connectivity (unchecked above ``verify.MAX_ESSENTIAL_WORK``), and
-``prop2-general`` its second block's edge connectivity.  The whole
-instance's edge connectivity and star-freeness are left to callers.
+edge connectivity, and ``prop2-general`` its second block's edge
+connectivity.  The whole instance's edge connectivity and star-freeness
+are left to callers.
 
 Families:
 
@@ -390,10 +390,8 @@ def _verify_block(
     min_lambda: int | None = None,
 ) -> None:
     """Post-verify a building block whose vertices below ``split`` have
-    degree ``degrees[0]`` and the rest ``degrees[1]``; raise on definite
-    failure.  An essential-connectivity check beyond
-    :data:`~pathcycle.verify.MAX_ESSENTIAL_WORK` is undecided, and the block
-    is then accepted unchecked.
+    degree ``degrees[0]`` and the rest ``degrees[1]``; raise unless every
+    check holds.
     """
     for v in range(block.n):
         want = degrees[v >= split]
@@ -406,7 +404,7 @@ def _verify_block(
         if lam < min_lambda:
             raise AssertionError(f"{name}: edge connectivity {lam} < {min_lambda}")
     rep = essential_edge_connectivity_at_least(block, essential_k)
-    if rep.holds is False:
+    if not rep.holds:
         raise AssertionError(f"{name}: not essentially {essential_k}-edge-connected")
 
 

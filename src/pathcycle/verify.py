@@ -8,7 +8,6 @@ without trusting this module.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -16,11 +15,6 @@ from typing import Iterable
 from .graphs import Graph, as_vertex_set
 
 Edge = tuple[int, int]
-
-#: Work bound of :func:`essential_edge_connectivity_at_least`, whose estimate
-#: m(m-1)...(m-k+2) * m counts the ordered edge subsets it scans times an
-#: O(m) bridge scan each.  Larger checks are undecided.
-MAX_ESSENTIAL_WORK = 200_000_000
 
 #: Largest vertex count :func:`path_system_criterion` scans all 2^n subsets of.
 MAX_CRITERION_VERTICES = 18
@@ -68,30 +62,51 @@ def check_regular(g: Graph, r: int) -> PropertyReport:
 # -- edge connectivity ----------------------------------------------------
 
 
-def _max_flow_unit(g: Graph, source: int, sink: int) -> tuple[int, set[int]]:
-    """Max flow with unit capacity per undirected edge, plus the residual
-    source-side vertex set at termination (a minimum cut shore)."""
+def _max_flow_unit(
+    g: Graph, sources: tuple[int, ...], sinks: tuple[int, ...], limit: int
+) -> tuple[int, set[int] | None]:
+    """Max flow from a source set to a disjoint sink set, with unit capacity
+    per undirected edge, capped at ``limit`` augmenting paths.
+
+    Returns ``(limit, None)`` once the flow reaches ``limit``; below it,
+    ``(value, side)`` with ``side`` the residual source side at termination
+    (a minimum cut shore).  Each source set and each sink set acts as one
+    contracted vertex.
+    """
     # residual capacities: cap[u][v] for both orientations of each edge
     cap = [dict.fromkeys(g.neighbors(v), 1) for v in range(g.n)]
     flow = 0
-    while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
+    while flow < limit:
+        parent = {s: s for s in sources}
+        queue = deque(sources)
+        reached = None
+        while queue and reached is None:
             u = queue.popleft()
             for v, c in cap[u].items():
                 if c > 0 and v not in parent:
                     parent[v] = u
+                    if v in sinks:
+                        reached = v
+                        break
                     queue.append(v)
-        if sink not in parent:
+        if reached is None:
             return flow, set(parent)
-        v = sink
-        while v != source:
+        v = reached
+        while parent[v] != v:
             u = parent[v]
             cap[u][v] -= 1
             cap[v][u] = cap[v].get(u, 0) + 1
             v = u
         flow += 1
+    return limit, None
+
+
+def _cut(g: Graph, side: set[int], size: int) -> tuple[Edge, ...]:
+    """The edges leaving ``side``, checked to number ``size``."""
+    cut = tuple(e for e in g.edges if (e[0] in side) != (e[1] in side))
+    if len(cut) != size:
+        raise AssertionError("residual cut size must equal the flow value")
+    return cut
 
 
 def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
@@ -105,9 +120,9 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     X holds a vertex without cut edges, and D dominates it from inside X.
     D is a greedy maximal independent set in index order.  The cut starts
     as the star of the lowest vertex of minimum degree and is replaced only
-    by a strictly smaller flow cut.  Returns (0, ()) for disconnected or
-    trivial graphs; for n >= 2 the value is 0 exactly when the graph is
-    disconnected.
+    by a strictly smaller flow cut, so each flow stops at the current size.
+    Returns (0, ()) for disconnected or trivial graphs; for n >= 2 the value
+    is 0 exactly when the graph is disconnected.
     """
     if g.n <= 1:
         return 0, ()
@@ -123,121 +138,52 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     for d in dominating[1:]:
         if best == 0:
             break
-        value, side = _max_flow_unit(g, dominating[0], d)
+        value, side = _max_flow_unit(g, (dominating[0],), (d,), best)
         if value < best:
             best, best_side = value, side
-    cut = tuple(
-        e for e in g.edges if (e[0] in best_side) != (e[1] in best_side)
-    )
-    if len(cut) != best:
-        raise AssertionError("residual cut size must equal the flow value")
-    return best, cut
-
-
-def _bridges(n: int, adj: list[list[int]]) -> list[Edge]:
-    """Bridges of a simple graph given by adjacency lists (iterative DFS)."""
-    disc = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    timer = 1
-    out: list[Edge] = []
-    for root in range(n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, idx = stack[-1]
-            if idx < len(adj[v]):
-                stack[-1] = (v, idx + 1)
-                u = adj[v][idx]
-                if u == parent[v]:
-                    continue  # single back edge to the parent (simple graph)
-                if disc[u]:
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-                else:
-                    parent[u] = v
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, 0))
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        out.append((min(p, v), max(p, v)))
-    return out
+    return best, _cut(g, best_side, best)
 
 
 def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:
     """Is the graph essentially k-edge-connected?
 
-    Holds when no set of at most k-1 edges disconnects the graph into two
-    or more components of order >= 2.  The search enumerates minimal
-    violating sets: every minimal violating set of size j consists of j-1
-    edges plus a bridge of the graph with those j-1 edges removed, so it
-    suffices to scan (j-1)-subsets and refine with a bridge computation.
-    Inputs whose work estimate exceeds :data:`MAX_ESSENTIAL_WORK` yield an
-    undecided report.
+    Holds when no set of at most k-1 edges leaves two or more components of
+    order >= 2.  A smallest such set is a cut delta(X) with an edge inside
+    X and one inside V - X, so it is a minimum cut between two disjoint
+    edges, each contracted (A. H. Esfahanian and S. L. Hakimi, "On
+    computing a conditional edge-connectivity of a graph", IPL 27, 1988).
+    Fix the edge xy.  If an optimal X keeps x and y together, the other
+    side holds an edge cd disjoint from xy: flow {x, y} -> {c, d}.
+    Otherwise x has a neighbour u on its side and y a neighbour w on its
+    side, since moving an endpoint without one across would cut fewer
+    edges: flow {x, u} -> {y, w}.  Each flow stops at the smallest cut
+    found so far, and the witness is that cut's edge set.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     name = "essential-edge-connectivity"
-    m = g.edge_count
-    # work estimate: C(m, j-1) * O(m) bridge scans for the largest j
-    jmax = k - 1
-    if jmax >= 1:
-        est = m
-        for j in range(2, jmax + 1):
-            est *= max(m - j + 1, 1)
-        if est * max(m, 1) > MAX_ESSENTIAL_WORK:
-            return PropertyReport(
-                name, None, detail=f"k={k} with {m} edges exceeds the work budget"
-            )
-
-    def splits_two_big(removed: frozenset[Edge]) -> bool:
-        adj = [[u for u in g.neighbors(v)
-                if (min(v, u), max(v, u)) not in removed]
-               for v in range(g.n)]
-        seen = [False] * g.n
-        big = 0
-        for s in range(g.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            size = 1
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        size += 1
-                        queue.append(y)
-            if size >= 2:
-                big += 1
-                if big >= 2:
-                    return True
-        return False
-
-    for j in range(1, k):
-        for prefix in itertools.combinations(g.edges, j - 1):
-            removed = frozenset(prefix)
-            adj = [[u for u in g.neighbors(v)
-                    if (min(v, u), max(v, u)) not in removed]
-                   for v in range(g.n)]
-            for b in _bridges(g.n, adj):
-                cand = removed | {b}
-                if len(cand) == j and splits_two_big(cand):
-                    return PropertyReport(
-                        name, False, witness=tuple(sorted(cand)),
-                        detail=f"removing {j} edges leaves two components of order >= 2",
-                    )
-    return PropertyReport(name, True)
+    if not g.edges:
+        return PropertyReport(name, True)
+    x, y = g.edges[0]
+    pairs = [((x, y), e) for e in g.edges if x not in e and y not in e]
+    pairs += [
+        ((x, u), (y, w))
+        for u in g.neighbors(x) if u != y
+        for w in g.neighbors(y) if w != x and w != u
+    ]
+    best, best_side = k, None
+    for sources, sinks in pairs:
+        if best == 0:
+            break
+        value, side = _max_flow_unit(g, sources, sinks, best)
+        if value < best:
+            best, best_side = value, side
+    if best_side is None:
+        return PropertyReport(name, True)
+    return PropertyReport(
+        name, False, witness=_cut(g, best_side, best),
+        detail=f"removing {best} edges leaves two components of order >= 2",
+    )
 
 
 # -- induced stars --------------------------------------------------------

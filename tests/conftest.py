@@ -146,17 +146,42 @@ def reference_matching_mates(n: int, adj) -> list[int]:
     return mate
 
 
+def _reference_max_flow_unit(g: Graph, source: int, sink: int) -> tuple[int, set[int]]:
+    """Max flow with unit capacity per undirected edge, plus the residual
+    source-side vertex set at termination (a minimum cut shore): the
+    uncapped single-pair flow, kept apart from the code under test."""
+    # residual capacities: cap[u][v] for both orientations of each edge
+    cap = [dict.fromkeys(g.neighbors(v), 1) for v in range(g.n)]
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, c in cap[u].items():
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow, set(parent)
+        v = sink
+        while v != source:
+            u = parent[v]
+            cap[u][v] -= 1
+            cap[v][u] = cap[v].get(u, 0) + 1
+            v = u
+        flow += 1
+
+
 def reference_edge_connectivity(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Edge connectivity and a cut from n - 1 unit flows, vertex 0 to each
     other vertex: the loop before the dominating-set bound."""
-    from pathcycle.verify import _max_flow_unit
-
     if g.n <= 1:
         return 0, ()
     best = None
     best_side: set[int] = set()
     for v in range(1, g.n):
-        value, side = _max_flow_unit(g, 0, v)
+        value, side = _reference_max_flow_unit(g, 0, v)
         if best is None or value < best:
             best, best_side = value, side
             if best == 0:

@@ -335,10 +335,9 @@ def test_write_instance_replaces_every_file_of_the_prefix(tmp_path):
 
 # -- pinned outputs ---------------------------------------------------------------------
 
-#: Every family at two or more parameter sets, the two largest glued ones
-#: among them: (7, 72) and r5(100) are the instances whose block checks
-#: exceed the essential-connectivity work bound.  The Prop. 1 sets cover
-#: k > r + 1, odd k, and r % 4 == 0 with k > r.
+#: Every family at two or more parameter sets, among them the two largest
+#: glued ones, (7, 72) and r5(100).  The Prop. 1 sets cover k > r + 1,
+#: odd k, and r % 4 == 0 with k > r.
 PINNED_FAMILIES = [
     (gen_prop1_odd, (5, 6)), (gen_prop1_odd, (7, 8)), (gen_prop1_odd, (5, 8)),
     (gen_prop1_even, (6, 6)), (gen_prop1_even, (6, 7)), (gen_prop1_even, (8, 8)),
@@ -365,6 +364,23 @@ def test_family_outputs_are_pinned(tmp_path):
         for path in write_instance(inst, tmp_path / f"inst{i}"):
             digest.update(path.suffix.encode() + path.read_bytes())
     assert digest.hexdigest() == PINNED_FAMILIES_SHA256
+
+
+def test_every_glued_block_is_decided_and_holds(monkeypatch):
+    reports = []
+    real = families.essential_edge_connectivity_at_least
+
+    def recording(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(families, "essential_edge_connectivity_at_least", recording)
+    for gen, args in PINNED_FAMILIES:
+        if gen in (gen_prop2_general, gen_prop2_r5):
+            gen.__wrapped__(*args)  # past the cache, so every block is checked
+    # H1 and H2 of each prop2-general, H1 of each prop2-r5
+    assert len(reports) == 6
+    assert all(rep.holds is True for rep in reports), reports
 
 
 @pytest.mark.parametrize(

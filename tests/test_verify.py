@@ -133,20 +133,28 @@ def test_edge_connectivity_flow_count_stays_bounded(monkeypatch, gen, params, bo
 # -- essential edge connectivity --------------------------------------------------
 
 
-def _naive_essential_at_least(g, k):
-    for j in range(1, k):
+def _naive_essential_cut_size(g, k):
+    """Fewest edges, below k, whose removal leaves two components of order
+    >= 2, or None."""
+    for j in range(k):
         for combo in itertools.combinations(g.edges, j):
             kept = [e for e in g.edges if e not in set(combo)]
             comps = components_after_removal(Graph(g.n, kept), [])
             if sum(1 for c in comps if len(c) >= 2) >= 2:
-                return False
-    return True
+                return j
+    return None
+
+
+def _assert_essential_witness(g, rep):
+    kept = [e for e in g.edges if e not in set(rep.witness)]
+    comps = components_after_removal(Graph(g.n, kept), [])
+    assert sum(1 for c in comps if len(c) >= 2) >= 2
 
 
 def test_essential_k4_holds():
     rep = essential_edge_connectivity_at_least(complete_graph(4), 3)
     assert rep.holds is True
-    assert _naive_essential_at_least(complete_graph(4), 3)
+    assert _naive_essential_cut_size(complete_graph(4), 3) is None
 
 
 def test_essential_bridge_between_triangles():
@@ -154,10 +162,16 @@ def test_essential_bridge_between_triangles():
     rep = essential_edge_connectivity_at_least(g, 2)
     assert rep.holds is False
     assert rep.witness == ((2, 3),)
-    # witness re-applied really splits two big components
-    kept = [e for e in g.edges if e not in set(rep.witness)]
-    comps = components_after_removal(Graph(g.n, kept), [])
-    assert sum(1 for c in comps if len(c) >= 2) >= 2
+    _assert_essential_witness(g, rep)
+
+
+def test_essential_fails_on_two_disjoint_triangles():
+    # no edge needs removing: the empty cut already splits two triangles
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    rep = essential_edge_connectivity_at_least(g, 2)
+    assert rep.holds is False
+    assert rep.witness == ()
+    _assert_essential_witness(g, rep)
 
 
 def test_essential_star_never_fails():
@@ -167,18 +181,27 @@ def test_essential_star_never_fails():
 
 def test_essential_matches_naive_on_random_graphs():
     rng = random.Random(17)
-    for _ in range(12):
-        g = random_connected_graph(rng, 7, 0.35)
-        for k in (2, 3):
+    graphs = [random_connected_graph(rng, 7, 0.35) for _ in range(12)]
+    graphs += [  # disconnected ones too, where no edge needs removing
+        random_graph(rng, rng.randrange(2, 10), rng.choice((0.2, 0.4))) for _ in range(20)
+    ]
+    for g in graphs:
+        for k in (2, 3, 4):
             rep = essential_edge_connectivity_at_least(g, k)
-            assert rep.holds == _naive_essential_at_least(g, k)
+            size = _naive_essential_cut_size(g, k)
+            assert rep.holds == (size is None), (g.n, g.edges, k)
+            if size is not None:
+                assert len(rep.witness) == size, (g.n, g.edges, k)
+                _assert_essential_witness(g, rep)
 
 
-def test_essential_undecided_beyond_bounds():
+def test_essential_cycle_is_decided_at_large_k():
+    # two non-adjacent edges cut it into two paths of order >= 2
     g = cycle_graph(12)
-    # work estimate 12 * 11 * ... * 5 * 12 = 239,500,800 > MAX_ESSENTIAL_WORK
     rep = essential_edge_connectivity_at_least(g, 9)
-    assert rep.holds is None
+    assert rep.holds is False
+    assert len(rep.witness) == 2
+    _assert_essential_witness(g, rep)
 
 
 # -- induced stars ----------------------------------------------------------------
