@@ -24,6 +24,11 @@ violation.  Beyond the tables, about n + 10 bytes per vertex set, a chunk
 holds at most ``_CHUNK`` pairs.  The scan reads only the graph and the
 degree spec and shares no code with :func:`pathcycle.tutte.delta` or the
 solver, so it stays an independent route to the answer.
+
+The component labels ``rep`` have two consumers: this scan, which reads q
+from them, and :func:`component_counts`, which counts the components of
+G - R for every R for :func:`pathcycle.verify.path_system_criterion`.  They
+take (n + 1) 2^n bytes, about 5 MB at the criterion's bound of 18 vertices.
 """
 
 from __future__ import annotations
@@ -83,6 +88,20 @@ def _component_labels(g, n: int):
             np.copyto(done, low, where=hit)
             done[v] = low
     return rep
+
+
+def component_counts(g):
+    """``counts[R]``: the number of components of G - R, for every set R < 2^n.
+
+    A component is counted at its lowest vertex u, the one u outside R with
+    ``rep[u, R] == u``; the rows of u in R hold n and never match.
+    """
+    n = g.n
+    rep = _component_labels(g, n)
+    counts = np.zeros(1 << n, np.uint8)
+    for u in range(n):
+        counts += rep[u] == u
+    return counts
 
 
 class _Scan:

@@ -75,8 +75,9 @@ def rule_constants(r: int) -> RuleConstants:
 class ChargeState:
     """Initial and final charges of one discharge run.
 
-    Charges are stored as integer numerators over ``scale`` = r(r-1); the
-    ``initial_*`` and ``final_*`` properties give them as exact fractions.
+    Charges are stored as integer numerators over ``scale`` = r(r-1).  The
+    ``final_*`` properties give the final charges as exact fractions, and
+    ``total_initial`` and ``total_final`` the two totals.
     """
 
     s1: tuple[int, ...]
@@ -89,14 +90,6 @@ class ChargeState:
     initial_component_num: tuple[int, ...]
     final_vertex_num: dict[int, int]
     final_component_num: tuple[int, ...]
-
-    @property
-    def initial_vertex(self) -> dict[int, Fraction]:
-        return {v: Fraction(c, self.scale) for v, c in self.initial_vertex_num.items()}
-
-    @property
-    def initial_component(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.scale) for c in self.initial_component_num)
 
     @property
     def final_vertex(self) -> dict[int, Fraction]:

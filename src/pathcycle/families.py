@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 from .factor import degree_spec_from_terminals
 from .graphs import (
     Graph,
+    _normalize_edge,
     distance,
     serialize_graph,
     serialize_terminals,
@@ -91,12 +92,8 @@ def _circulant_block(nv: int, offsets: Iterable[int]) -> set[tuple[int, int]]:
         if not 0 < off <= nv // 2:
             raise ValueError(f"offset {off} invalid for {nv} vertices")
         for i in range(nv):
-            edges.add(_norm(i, (i + off) % nv))
+            edges.add(_normalize_edge(i, (i + off) % nv))
     return edges
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _apex_pairs(first: int, sets: Iterable[Iterable[int]]) -> set[tuple[int, int]]:
@@ -107,8 +104,8 @@ def _apex_pairs(first: int, sets: Iterable[Iterable[int]]) -> set[tuple[int, int
         a = first + 2 * i
         edges.add((a, a + 1))
         for v in vertices:
-            edges.add(_norm(a, v))
-            edges.add(_norm(a + 1, v))
+            edges.add(_normalize_edge(a, v))
+            edges.add(_normalize_edge(a + 1, v))
     return edges
 
 
@@ -191,7 +188,7 @@ def _hub_family(
             hubs = [(j + max(t - 1, 0)) % hub_count for t in range(len(deficient))]
         else:
             hubs = [diagonal_hubs[j - hub_count] + t for t in range(len(deficient))]
-        edges.update(_norm(pos + d, x) for d, x in zip(deficient, hubs))
+        edges.update(_normalize_edge(pos + d, x) for d, x in zip(deficient, hubs))
         w.append(pos + w_idx)
         pos += nv
     return _assert_generated(
@@ -230,7 +227,7 @@ def gen_prop1_odd(r: int, k: int) -> FamilyInstance:
 
     def block(nv: int, d: int) -> _Block:  # deficient v_0..v_{d-1}, then kk chords
         edges = _circulant_block(nv, range(1, half + 1))
-        edges.update(_norm(s, (s + kk) % nv) for s in range(d, d + kk))
+        edges.update(_normalize_edge(s, (s + kk) % nv) for s in range(d, d + kk))
         return nv, edges, range(d), d + kk - 1
 
     blocks = [block(r + k - 1, r - 1)] * (2 * r + 1) + [block(r + k + 1, r + 1)]
@@ -349,8 +346,8 @@ def gen_prop2_r4(n: int) -> FamilyInstance:
     a_start, b_start = 6 * n, 8 * n  # a_j is a_start + j - 1, b_j likewise
     edges: set[tuple[int, int]] = set()
     for i in range(1, m3 + 1):
-        edges.add(_norm(x(i), y(i)))
-        edges.add(_norm(y(i), x(i + 1)))
+        edges.add(_normalize_edge(x(i), y(i)))
+        edges.add(_normalize_edge(y(i), x(i + 1)))
     a_sets = ((x(i), x(i + n), x(i + 2 * n)) for i in range(1, n + 1))
     b_sets = ((y(3 * i - 2), y(3 * i - 1), y(3 * i)) for i in range(1, n + 1))
     edges |= _apex_pairs(a_start, a_sets) | _apex_pairs(b_start, b_sets)
@@ -462,10 +459,10 @@ def _glued_family(
     edges: set[tuple[int, int]] = set()
     for sub, (u, v) in enumerate(base_edges):  # first block, through the glue
         yv = y_start + inv[sub]
-        edges.add(_norm(u, yv))
-        edges.add(_norm(v, yv))
+        edges.add(_normalize_edge(u, yv))
+        edges.add(_normalize_edge(v, yv))
     for x2, ylabel in h2_edges_labels:    # second block
-        edges.add(_norm(x2_start + x2, y_start + ylabel))
+        edges.add(_normalize_edge(x2_start + x2, y_start + ylabel))
 
     # apex pair a_{2i+1}, a_{2i+2} over two of X_1' and r - 3 of the pool
     pool = list(range(2 * n_apex, y_start))
@@ -597,12 +594,12 @@ def _random_cubic(rng: random.Random, h: int) -> Graph | None:
     """Connected cubic graph on h vertices: random cycle plus matching."""
     order = list(range(h))
     rng.shuffle(order)
-    cycle = {_norm(order[i], order[(i + 1) % h]) for i in range(h)}
+    cycle = {_normalize_edge(order[i], order[(i + 1) % h]) for i in range(h)}
     for _ in range(50):
         pair = list(range(h))
         rng.shuffle(pair)
         matching = {
-            _norm(pair[2 * i], pair[2 * i + 1]) for i in range(h // 2)
+            _normalize_edge(pair[2 * i], pair[2 * i + 1]) for i in range(h // 2)
         }
         if matching & cycle:
             continue
@@ -614,10 +611,10 @@ def _line_graph(g: Graph) -> Graph:
     idx = {e: i for i, e in enumerate(g.edges)}
     edges = set()
     for v in range(g.n):
-        inc = [idx[_norm(v, u)] for u in g.neighbors(v)]
+        inc = [idx[_normalize_edge(v, u)] for u in g.neighbors(v)]
         for i in range(len(inc)):
             for j in range(i + 1, len(inc)):
-                edges.add(_norm(inc[i], inc[j]))
+                edges.add(_normalize_edge(inc[i], inc[j]))
     return Graph(len(idx), edges)
 
 

@@ -44,7 +44,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has a vertex outside 0..{n - 1}")
@@ -54,27 +53,27 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
             seen.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self._masks: tuple[int, ...] | None = None
+        self._build(n, seen)
 
     @classmethod
-    def _trusted(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
+    def _trusted(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """The graph ``Graph(n, edges)``, for callers whose edges are distinct
         pairs u < v in 0..n-1 by construction; skips the checks."""
+        g = cls.__new__(cls)
+        g._build(n, edges)
+        return g
+
+    def _build(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        """Set the fields from distinct pairs u < v in 0..n-1; read in sorted
+        order, the pairs fill every adjacency list in ascending order."""
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        g = cls.__new__(cls)
-        g.n = n
-        g.edges = tuple(sorted(edges))
-        g._adj = tuple(tuple(sorted(a)) for a in adj)
-        g._masks = None
-        return g
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._masks: tuple[int, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -149,7 +148,6 @@ def parse_graph(text: str | bytes) -> Graph:
     text = decode_ascii(text)
     n = None
     m = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -189,14 +187,13 @@ def parse_graph(text: str | bytes) -> Graph:
             if (u, v) in seen:
                 raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
             seen.add((u, v))
-            edges.append((u, v))
         else:
             raise GraphFormatError(f"unknown line type {fields[0]!r}", lineno)
     if n is None:
         raise GraphFormatError("missing 'p' header")
-    if m != len(edges):
-        raise GraphFormatError(f"header promises {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    if m != len(seen):
+        raise GraphFormatError(f"header promises {m} edges, found {len(seen)}")
+    return Graph._trusted(n, seen)
 
 
 def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:

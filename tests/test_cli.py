@@ -295,15 +295,29 @@ def test_vertex_count_above_cap_is_usage_error(files, empty_w, capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is loaded only by the exhaustive certificate scan
+def test_cli_import_leaves_numpy_unloaded(files, c6, empty_w):
+    # numpy is loaded only by the exhaustive certificate scan and by the
+    # path-system criterion below its vertex bound
+    c20 = files("c20.graph", serialize_graph(cycle_graph(20)))
+    calls = [
+        ["verify", "--graph", c6, "--regular", "2", "--edge-connectivity", "2",
+         "--star-free", "3"],
+        ["solve", "--graph", c6, "--terminals", empty_w],
+        ["verify", "--graph", c20, "--path-system-criterion"],
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys; import pathcycle.cli; print('numpy' in sys.modules)"
+    code = (
+        "import contextlib, io, sys\n"
+        "from pathcycle.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [run(argv) for argv in {calls!r}]\n"
+        "print('numpy' in sys.modules, codes)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False [0, 0, 3]"
 
 
 def test_missing_file(empty_w):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pathcycle.cli import run
 from pathcycle.errors import GraphFormatError
 from pathcycle.factor import degree_spec_from_terminals
-from pathcycle.graphs import Graph, parse_graph, parse_terminals, serialize_graph
+from pathcycle.graphs import Graph, decode_ascii, parse_graph, parse_terminals, serialize_graph
 from pathcycle.tutte import evaluate_pair, format_certificate, parse_certificate
 
 from .conftest import cycle_graph
@@ -26,7 +26,17 @@ token_lines = st.lists(
     st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join), max_size=8
 ).map("\n".join)
 
-texts = st.one_of(token_lines, st.text(max_size=40))
+
+@st.composite
+def graph_texts(draw):
+    """Well-formed graph files with their edge lines in any order."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    return "\n".join([f"p {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges])
+
+
+texts = st.one_of(token_lines, st.text(max_size=40), graph_texts())
 raw_inputs = st.one_of(texts, texts.map(str.encode), st.binary(max_size=40))
 
 
@@ -36,9 +46,16 @@ def test_parsers_raise_only_format_errors(data):
     for parse in (parse_graph, parse_terminals, parse_certificate,
                   lambda text: parse_terminals(text, cycle_graph(4))):
         try:
-            parse(data)
+            parsed = parse(data)
         except GraphFormatError:
-            pass
+            continue
+        if parse is parse_graph:
+            # the parser builds without the constructor's checks: it must
+            # still give the graph that the checked constructor gives
+            lines = [line.split() for line in decode_ascii(data).splitlines()]
+            edges = [(int(f[1]), int(f[2])) for f in lines if f[:1] == ["e"]]
+            checked = Graph(parsed.n, edges)
+            assert parsed.edges == checked.edges and parsed._adj == checked._adj
 
 
 @st.composite

@@ -45,10 +45,20 @@ def test_degree_sum_is_twice_edge_count():
 
 
 def test_adjacency_symmetry():
-    g = Graph(4, [(0, 1), (1, 2), (0, 3)])
-    for u in g.vertices():
-        for v in g.neighbors(u):
-            assert u in g.neighbors(v)
+    rng = random.Random(4)
+    graphs = [Graph(4, [(0, 1), (1, 2), (0, 3)])]
+    for _ in range(50):
+        n = rng.randrange(1, 12)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        rng.shuffle(edges)
+        graphs.append(Graph(n, edges))
+    for g in graphs:
+        for u in g.vertices():
+            for v in g.neighbors(u):
+                assert u in g.neighbors(v)
+            # neighbour lists are sorted, whatever order the edges came in
+            assert list(g.neighbors(u)) == sorted(a + b - u for a, b in g.edges if u in (a, b))
 
 
 # -- parsing -------------------------------------------------------------------
