@@ -77,7 +77,8 @@ class ChargeState:
 
     Charges are stored as integer numerators over ``scale`` = r(r-1).  The
     ``final_*`` properties give the final charges as exact fractions, and
-    ``total_initial`` and ``total_final`` the two totals.
+    ``total_initial`` and ``total_final`` the two totals.  Every odd
+    component starts at charge 0.
     """
 
     s1: tuple[int, ...]
@@ -87,7 +88,6 @@ class ChargeState:
     components: tuple[tuple[int, ...], ...]
     scale: int
     initial_vertex_num: dict[int, int]
-    initial_component_num: tuple[int, ...]
     final_vertex_num: dict[int, int]
     final_component_num: tuple[int, ...]
 
@@ -101,10 +101,7 @@ class ChargeState:
 
     @property
     def total_initial(self) -> Fraction:
-        return Fraction(
-            sum(self.initial_vertex_num.values()) + sum(self.initial_component_num),
-            self.scale,
-        )
+        return Fraction(sum(self.initial_vertex_num.values()), self.scale)
 
     @property
     def total_final(self) -> Fraction:
@@ -222,9 +219,8 @@ def discharge(
         init_v[v] = scale
     for v in s2:
         init_v[v] = 2 * scale
-    init_c = [0] * q
+    final_v = dict(init_v)
     final_c = [0] * q
-    t_gain = []
     t_independent = True
     for y in ts:
         outside = 0
@@ -242,10 +238,7 @@ def discharge(
                 final_c[j] -= amt_comp_t
                 gain += amt_comp_t
         init_v[y] = outside * scale
-        t_gain.append(gain)
-    final_v = dict(init_v)
-    for y, gain in zip(ts, t_gain):
-        final_v[y] += gain
+        final_v[y] = outside * scale + gain
     for a in ss:
         to_t = amt_s1 if targets[a] == 1 else amt_s2_t
         for b in g.neighbors(a):
@@ -260,7 +253,7 @@ def discharge(
 
     e_t_u = sum(prof.e_t)
     init_total = sum(init_v.values())
-    conservation = init_total + sum(init_c) == sum(final_v.values()) + sum(final_c)
+    conservation = init_total == sum(final_v.values()) + sum(final_c)
     identity_lhs = Fraction(init_total, scale)
     identity_rhs = f.subset_sum(ss) + prof.deg_gs_t - e_t_u
 
@@ -318,7 +311,6 @@ def discharge(
         components=tuple(comps),
         scale=scale,
         initial_vertex_num=init_v,
-        initial_component_num=tuple(init_c),
         final_vertex_num=final_v,
         final_component_num=tuple(final_c),
     )

@@ -5,12 +5,13 @@ set W, an optional witness pair (S, T) whose deficiency certifies that no
 spanning path-cycle system with respect to W exists, a name map from
 construction labels to vertex indices, and the structural claims the
 instance is supposed to satisfy.  Claims are re-checkable through
-:func:`verify_claims`.  Generators assert the cheap ones (regularity,
-witness deficiency, terminal degree bounds) at construction time; the
-glued Prop. 2 families also check their blocks' degrees and essential
-edge connectivity, and ``prop2-general`` its second block's edge
+:func:`verify_claims`.  Generators assert the cheap ones (regularity, the
+terminal condition, witness deficiency) at construction time; the glued
+Prop. 2 families also check their blocks' degrees and essential edge
+connectivity, and ``prop2-general`` its second block's edge
 connectivity.  The whole instance's edge connectivity and star-freeness
-are left to callers.
+are left to callers.  Every terminal condition, nbhd2 included, is
+decided in :mod:`pathcycle.verify`; this module counts no terminals.
 
 Families:
 
@@ -42,6 +43,7 @@ from .tutte import TutteCertificate, evaluate_pair, format_certificate
 from .verify import (
     GraphHypotheses,
     PropertyReport,
+    _terminal_load,
     check_regular,
     check_terminal_set,
     edge_connectivity,
@@ -118,12 +120,6 @@ def _check_size(n: int, r: int) -> None:
         )
 
 
-def _terminal_counts(g: Graph, w: Iterable[int]) -> list[int]:
-    """|N(v) n W| for every vertex v."""
-    wset = set(w)
-    return [sum(1 for x in g.neighbors(v) if x in wset) for v in range(g.n)]
-
-
 def _replayed_witness(inst: FamilyInstance) -> TutteCertificate:
     """The witness pair evaluated on the instance; raises if its deficiency
     is not the recorded one."""
@@ -137,17 +133,15 @@ def _replayed_witness(inst: FamilyInstance) -> TutteCertificate:
 
 
 def _assert_generated(inst: FamilyInstance) -> FamilyInstance:
-    """Construction-time sanity: regularity, terminal bound, witness value."""
-    rep = check_regular(inst.graph, inst.r)
-    if rep.holds is not True:
-        raise AssertionError(f"{inst.name}: {rep.detail}")
-    if len(inst.w) % 2 != 0:
-        raise AssertionError(f"{inst.name}: terminal set has odd size")
+    """Construction-time sanity: regularity, terminal condition, witness value."""
+    for rep in (
+        check_regular(inst.graph, inst.r),
+        check_terminal_set(inst.graph, inst.w, inst.terminal_mode),
+    ):
+        if rep.holds is not True:
+            raise AssertionError(f"{inst.name}: {rep.detail}")
     if inst.witness is not None:
         _replayed_witness(inst)
-    if inst.terminal_mode == "nbhd2":
-        if max(_terminal_counts(inst.graph, inst.w), default=0) > 2:
-            raise AssertionError(f"{inst.name}: some vertex has >2 terminals nearby")
     return inst
 
 
@@ -725,18 +719,10 @@ def verify_claims(inst: FamilyInstance) -> list[PropertyReport]:
         )
     )
 
-    if inst.terminal_mode in ("distance3", "nbhd1"):
+    if inst.terminal_mode == "nbhd2":  # at most two, met with equality somewhere
+        reports.append(_terminal_load(g, inst.w))
+    else:
         reports.append(check_terminal_set(g, inst.w, inst.terminal_mode))
-    else:  # nbhd2: at most two terminal neighbors, met with equality somewhere
-        counts = _terminal_counts(g, inst.w)
-        top = max(counts, default=0)
-        reports.append(
-            PropertyReport(
-                "terminals-nbhd2", top == 2,
-                witness=(counts.index(top), top) if counts else None,
-                detail=f"max |N(v) n W| = {top}, claimed exactly 2 at the maximum",
-            )
-        )
 
     if inst.witness is not None:
         s, t, expected = inst.witness

@@ -212,27 +212,26 @@ def find_induced_star(g: Graph, m: int) -> tuple[int, tuple[int, ...]] | None:
 def _independent_subset(
     candidates: tuple[int, ...], masks: tuple[int, ...], m: int
 ) -> tuple[int, ...] | None:
-    chosen: list[int] = []
+    """The first ``m``-subset of ``candidates``, in combinations order, that
+    is independent: a depth-first search on an explicit stack, so its depth
+    is not bounded by the recursion limit."""
     k = len(candidates)
-
-    def extend(start: int, blocked: int) -> bool:
-        if len(chosen) == m:
-            return True
-        if len(chosen) + (k - start) < m:
-            return False
-        for i in range(start, k):
-            v = candidates[i]
-            if blocked >> v & 1:
-                continue
-            chosen.append(v)
-            if extend(i + 1, blocked | masks[v]):
-                return True
-            chosen.pop()
-        return False
-
-    if extend(0, 0):
-        return tuple(chosen)
-    return None
+    picks: list[int] = []  # positions of the chosen candidates
+    blocked = [0]  # blocked[d]: the neighbours of the first d picks
+    i = 0
+    while len(picks) < m:
+        if len(picks) + k - i < m:  # too few candidates left: backtrack
+            if not picks:
+                return None
+            i = picks.pop() + 1
+            blocked.pop()
+        elif blocked[-1] >> candidates[i] & 1:
+            i += 1
+        else:
+            picks.append(i)
+            blocked.append(blocked[-1] | masks[candidates[i]])
+            i += 1
+    return tuple(candidates[j] for j in picks)
 
 
 # -- the theorem's graph hypotheses -----------------------------------------
@@ -262,66 +261,80 @@ class GraphHypotheses:
 # -- terminal sets --------------------------------------------------------
 
 
-def check_terminal_set(g: Graph, w: Iterable[int], mode: str) -> PropertyReport:
-    """Check a terminal set under ``distance3`` or ``nbhd1``.
+def _terminals_seen(
+    g: Graph, ws: tuple[int, ...], closed: bool
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Which terminals each vertex sees, from one pass over the sorted W.
 
-    distance3: even size and pairwise distance >= 3.
-    nbhd1: even size and every vertex has at most one neighbor in W.
-    The report notes the implication distance3 => nbhd1 when relevant.
+    Returns ``(first, more)``: ``first[v]`` is the least terminal in N(v),
+    or in N[v] when ``closed``, for every v that sees one, and ``more[v]``
+    lists all of v's terminals, ascending, for every v that sees two or
+    more.
     """
-    if mode not in ("distance3", "nbhd1"):
+    first: dict[int, int] = {}
+    more: dict[int, list[int]] = {}
+    for a in ws:
+        for v in (a, *g.neighbors(a)) if closed else g.neighbors(a):
+            if v in first:
+                more.setdefault(v, [first[v]]).append(a)
+            else:
+                first[v] = a
+    return first, more
+
+
+def check_terminal_set(g: Graph, w: Iterable[int], mode: str) -> PropertyReport:
+    """Check a terminal set under ``distance3``, ``nbhd1`` or ``nbhd2``.
+
+    Each mode needs |W| even and bounds how many terminals one
+    neighbourhood holds, so one scan of N(W) decides it:
+
+    * distance3: at most one in each closed N[v], i.e. terminals pairwise
+      at distance >= 3; fails at the least pair seen together, at distance
+      1 if adjacent, else 2.  It implies nbhd1, which the passing report
+      notes.
+    * nbhd1 / nbhd2: at most one / two in each open N(v); fails at the
+      least v that sees more, with witness (v, its terminals).
+    """
+    if mode not in ("distance3", "nbhd1", "nbhd2"):
         raise ValueError(f"unknown mode {mode!r}")
     ws = as_vertex_set(g, w, "terminal set")
     name = f"terminals-{mode}"
     if len(ws) % 2 != 0:
         return PropertyReport(name, False, witness=len(ws), detail="terminal set has odd size")
-    wset = set(ws)
-
-    def nbhd1_violation() -> tuple[int, tuple[int, ...]] | None:
-        # only neighbours of W can see two terminals: O(|W| r), least one wins
-        reached: set[int] = set()
-        least = None
-        for a in ws:
-            for v in g.neighbors(a):
-                if v not in reached:
-                    reached.add(v)
-                elif least is None or v < least:
-                    least = v
-        if least is None:
-            return None
-        return least, tuple(u for u in g.neighbors(least) if u in wset)
-
-    if mode == "nbhd1":
-        bad = nbhd1_violation()
-        if bad is not None:
-            return PropertyReport(
-                name, False, witness=bad,
-                detail=f"vertex {bad[0]} has neighbors {list(bad[1])} in W",
-            )
+    _, more = _terminals_seen(g, ws, closed=mode == "distance3")
+    if mode == "distance3":
+        if not more:
+            return PropertyReport(name, True, detail="implies nbhd1: confirmed")
+        a, b = min(ts[:2] for ts in more.values())
+        d = 1 if g.has_edge(a, b) else 2
+        return PropertyReport(
+            name, False, witness=(a, b, d),
+            detail=f"terminals {a} and {b} are at distance {d}",
+        )
+    limit = 2 if mode == "nbhd2" else 1
+    over = [v for v, ts in more.items() if len(ts) > limit]
+    if not over:
         return PropertyReport(name, True)
+    bad = min(over)
+    return PropertyReport(
+        name, False, witness=(bad, tuple(more[bad])),
+        detail=f"vertex {bad} has neighbors {more[bad]} in W",
+    )
 
-    # distance3: bounded BFS to depth 2 from each terminal
-    for a in ws:
-        dist = {a: 0}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            if dist[x] == 2:
-                continue
-            for y in g.neighbors(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        for b in ws:
-            if b != a and b in dist:
-                return PropertyReport(
-                    name, False, witness=(a, b, dist[b]),
-                    detail=f"terminals {a} and {b} are at distance {dist[b]}",
-                )
-    detail = ""
-    if nbhd1_violation() is None:
-        detail = "implies nbhd1: confirmed"
-    return PropertyReport(name, True, detail=detail)
+
+def _terminal_load(g: Graph, w: Iterable[int]) -> PropertyReport:
+    """The Prop. 2 families' terminal claim: the most terminals any open
+    N(v) holds is exactly 2.  The witness is the least v holding the most,
+    and that count."""
+    first, more = _terminals_seen(g, as_vertex_set(g, w, "terminal set"), closed=False)
+    loads = {v: len(ts) for v, ts in more.items()} or dict.fromkeys(first, 1)
+    top = max(loads.values(), default=0)
+    least = min((v for v, k in loads.items() if k == top), default=0)
+    return PropertyReport(
+        "terminals-nbhd2", top == 2,
+        witness=(least, top) if g.n else None,
+        detail=f"max |N(v) n W| = {top}, claimed exactly 2 at the maximum",
+    )
 
 
 # -- path-system criterion ------------------------------------------------

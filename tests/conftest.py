@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from pathcycle.graphs import Graph, components_after_removal, is_connected
+from pathcycle.graphs import Graph, components_after_removal, distance, is_connected
 
 
 # -- tiny named graphs -------------------------------------------------------
@@ -239,14 +239,25 @@ def naive_pair_evaluation(g: Graph, f, s, t) -> dict:
     }
 
 
-def naive_nbhd1_violation(g: Graph, w):
-    """Least vertex with two or more neighbours in W, with those
+def naive_nbhd1_violation(g: Graph, w, limit: int = 1):
+    """Least vertex with more than ``limit`` neighbours in W, with those
     neighbours, from a scan of every vertex; None when there is none."""
     wset = set(w)
     for v in range(g.n):
         inside = tuple(u for u in g.neighbors(v) if u in wset)
-        if len(inside) > 1:
+        if len(inside) > limit:
             return v, inside
+    return None
+
+
+def naive_distance3_violation(g: Graph, w):
+    """Least pair (a, b, d) of terminals a < b at distance d <= 2, from
+    :func:`~pathcycle.graphs.distance` over all pairs; None when there is
+    none."""
+    for a, b in itertools.combinations(sorted(set(w)), 2):
+        d = distance(g, a, b)
+        if d <= 2:
+            return a, b, d
     return None
 
 

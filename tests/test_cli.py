@@ -12,7 +12,7 @@ from pathcycle.cli import build_parser, run
 from pathcycle.families import gen_prop1_odd, write_instance
 from pathcycle.graphs import serialize_graph, serialize_terminals
 
-from .conftest import complete_graph, cycle_graph
+from .conftest import complete_graph, cycle_graph, star_graph
 
 
 @pytest.fixture()
@@ -199,6 +199,14 @@ def test_verify_failure_and_undecided_codes(capsys, files):
     inst = gen_prop1_odd(5, 6)
     big = files("big.graph", serialize_graph(inst.graph))
     assert run(["verify", "--graph", big, "--path-system-criterion"]) == 3
+
+
+def test_verify_large_star_is_found_without_deep_recursion(capsys, files):
+    # K_{1,1500} is its own witness: the centre and all of its leaves
+    star = files("star.graph", serialize_graph(star_graph(1500)))
+    assert run(["verify", "--graph", star, "--star-free", "1500"]) == 1
+    witness = (0, tuple(range(1, 1501)))
+    assert capsys.readouterr().out == f"star-free-1500: FAIL {witness!r}\n"
 
 
 def test_verify_terminal_modes(capsys, files, c5):

@@ -18,6 +18,7 @@ from .conftest import (
     COUNTEREXAMPLE_LADDER,
     complete_graph,
     cycle_graph,
+    naive_distance3_violation,
     naive_nbhd1_violation,
     path_graph,
     petersen_graph,
@@ -243,6 +244,33 @@ def test_star_witness_is_independent_on_random_graphs():
             )
 
 
+def test_star_is_the_first_independent_combination():
+    # oracle: the first centre with an independent m-subset of its
+    # neighbours, and its first such subset in combinations order
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(0, 11), rng.uniform(0.1, 0.7))
+        m = rng.randrange(1, 5)
+        want = next(
+            (
+                (c, leaves)
+                for c in range(g.n)
+                for leaves in itertools.combinations(g.neighbors(c), m)
+                if not any(g.has_edge(a, b) for a, b in itertools.combinations(leaves, 2))
+            ),
+            None,
+        )
+        assert find_induced_star(g, m) == want, (g.edges, m)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_star_search_is_not_bounded_by_recursion_depth():
+    leaves = 3000
+    assert find_induced_star(star_graph(leaves), leaves) == (0, tuple(range(1, leaves + 1)))
+
+
 # -- terminal sets -----------------------------------------------------------------
 
 
@@ -302,6 +330,35 @@ def test_nbhd1_witness_matches_full_scan():
         assert rep.witness == want, (g.edges, w)
         outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def test_terminal_modes_match_naive_scans():
+    # distance3 against all-pairs distances; nbhd1 and nbhd2 against a scan
+    # of every vertex with a neighbour limit of one and two
+    rng = random.Random(67)
+    outcomes = {mode: set() for mode in ("distance3", "nbhd1", "nbhd2")}
+    for _ in range(400):
+        n = rng.randrange(0, 16)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        k = rng.randrange(n + 1)
+        w = rng.sample(range(n), k if rng.random() < 0.1 else k - k % 2)
+        for mode, limit in (("nbhd1", 1), ("nbhd2", 2), ("distance3", None)):
+            rep = check_terminal_set(g, w, mode)
+            if len(w) % 2:
+                want, detail = len(w), "terminal set has odd size"
+            elif limit is None:
+                want = naive_distance3_violation(g, w)
+                detail = (
+                    "implies nbhd1: confirmed" if want is None
+                    else f"terminals {want[0]} and {want[1]} are at distance {want[2]}"
+                )
+            else:
+                want = naive_nbhd1_violation(g, w, limit)
+                detail = "" if want is None else f"vertex {want[0]} has neighbors {list(want[1])} in W"
+            holds = want is None and len(w) % 2 == 0
+            assert (rep.holds, rep.witness, rep.detail) == (holds, want, detail), (g.edges, w, mode)
+            outcomes[mode].add(holds)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 # -- path-system criterion -----------------------------------------------------------
