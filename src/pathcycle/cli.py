@@ -97,17 +97,20 @@ def _cmd_certify(args) -> int:
         return EXIT_VIOLATION
     if args.witness is not None:
         stored = parse_certificate(Path(args.witness).read_text())
-        cert = evaluate_pair(g, f, stored.s, stored.t)
-        sys.stdout.write(format_certificate(cert))
-        if cert.delta != stored.delta:
-            print(
-                f"witness file claims delta {stored.delta}, recomputed {cert.delta}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        return EXIT_VIOLATION if cert.delta < 0 else EXIT_OK
-    cert = evaluate_pair(g, f, _parse_list(args.s), _parse_list(args.t))
+        s, t = stored.s, stored.t
+    else:
+        stored, s, t = None, _parse_list(args.s), _parse_list(args.t)
+    cert = evaluate_pair(g, f, s, t)
     sys.stdout.write(format_certificate(cert))
+    if stored is not None and stored.delta != cert.delta:
+        print(
+            f"witness file claims delta {stored.delta}, recomputed {cert.delta}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    if stored is not None and stored.odd_components != cert.odd_components:
+        print("witness file's odd components differ from the recomputed ones", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_VIOLATION if cert.delta < 0 else EXIT_OK
 
 

@@ -195,11 +195,10 @@ def format_certificate(cert: TutteCertificate) -> str:
 
 
 def parse_certificate(text: str | bytes) -> TutteCertificate:
+    """One each of the ``S``, ``T``, ``delta`` and ``odd`` lines, then a
+    ``comp`` line per odd component, as :func:`format_certificate` writes."""
     text = decode_ascii(text)
-    s: tuple[int, ...] | None = None
-    t: tuple[int, ...] | None = None
-    dlt: int | None = None
-    odd: int | None = None
+    lines: dict[str, tuple[int, ...]] = {}
     comps: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -208,24 +207,22 @@ def parse_certificate(text: str | bytes) -> TutteCertificate:
         label, _, rest = line.partition(":")
         if label not in ("S", "T", "delta", "odd", "comp"):
             raise GraphFormatError(f"unknown witness line {label!r}", lineno)
-        fields = rest.split()
+        if label in lines:
+            raise GraphFormatError(f"repeated {label} line", lineno)
         try:
-            if label == "S":
-                s = tuple(int(x) for x in fields)
-            elif label == "T":
-                t = tuple(int(x) for x in fields)
-            elif label == "delta":
-                dlt = int(fields[0])
-            elif label == "odd":
-                odd = int(fields[0])
-            else:
-                comps.append(tuple(int(x) for x in fields))
-        except (ValueError, IndexError):
+            values = tuple(int(x) for x in rest.split())
+        except ValueError:
             raise GraphFormatError("malformed witness line", lineno) from None
-    if s is None or t is None or dlt is None:
-        raise GraphFormatError("witness file must contain S, T and delta lines")
-    if odd is not None and odd != len(comps):
-        raise GraphFormatError(
-            f"witness declares {odd} odd components, lists {len(comps)}"
-        )
-    return TutteCertificate(s, t, dlt, tuple(comps))
+        if label in ("delta", "odd") and len(values) != 1:
+            raise GraphFormatError(f"the {label} line holds exactly one integer", lineno)
+        if label == "comp":
+            comps.append(values)
+        else:
+            lines[label] = values
+    missing = [label for label in ("S", "T", "delta", "odd") if label not in lines]
+    if missing:
+        raise GraphFormatError(f"witness file has no {' or '.join(missing)} line")
+    (odd,) = lines["odd"]
+    if odd != len(comps):
+        raise GraphFormatError(f"witness declares {odd} odd components, lists {len(comps)}")
+    return TutteCertificate(lines["S"], lines["T"], lines["delta"][0], tuple(comps))

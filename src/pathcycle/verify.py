@@ -65,16 +65,15 @@ def check_regular(g: Graph, r: int) -> PropertyReport:
 def _max_flow_unit(
     g: Graph, sources: tuple[int, ...], sinks: tuple[int, ...], limit: int
 ) -> tuple[int, set[int] | None]:
-    """Max flow from a source set to a disjoint sink set, with unit capacity
-    per undirected edge, capped at ``limit`` augmenting paths.
+    """Max flow, one unit per undirected edge, from a source set to a
+    disjoint sink set, each contracted, capped at ``limit`` augmenting paths.
 
-    Returns ``(limit, None)`` once the flow reaches ``limit``; below it,
-    ``(value, side)`` with ``side`` the residual source side at termination
-    (a minimum cut shore).  Each source set and each sink set acts as one
-    contracted vertex.
+    The flow is the set ``sent`` of arcs (u, v) carrying a unit from u to v:
+    u -> v is residual iff (u, v) is not sent.  Returns ``(limit, None)``
+    once the flow reaches ``limit``; below it, ``(value, side)`` with
+    ``side`` the residual source side at termination (a minimum cut shore).
     """
-    # residual capacities: cap[u][v] for both orientations of each edge
-    cap = [dict.fromkeys(g.neighbors(v), 1) for v in range(g.n)]
+    sent: set[Edge] = set()
     flow = 0
     while flow < limit:
         parent = {s: s for s in sources}
@@ -82,8 +81,8 @@ def _max_flow_unit(
         reached = None
         while queue and reached is None:
             u = queue.popleft()
-            for v, c in cap[u].items():
-                if c > 0 and v not in parent:
+            for v in g._adj[u]:
+                if v not in parent and (u, v) not in sent:
                     parent[v] = u
                     if v in sinks:
                         reached = v
@@ -94,19 +93,32 @@ def _max_flow_unit(
         v = reached
         while parent[v] != v:
             u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] = cap[v].get(u, 0) + 1
+            if (v, u) in sent:
+                sent.remove((v, u))
+            else:
+                sent.add((u, v))
             v = u
         flow += 1
     return limit, None
 
 
-def _cut(g: Graph, side: set[int], size: int) -> tuple[Edge, ...]:
-    """The edges leaving ``side``, checked to number ``size``."""
+def _least_cut(
+    g: Graph, pairs: Iterable[tuple[tuple[int, ...], ...]], best: int, side: set[int] | None
+) -> tuple[int, tuple[Edge, ...] | None]:
+    """The least cut: ``best`` with shore ``side``, or a unit flow between some
+    (sources, sinks) pair, each capped at the least so far; its size and edges."""
+    for sources, sinks in pairs:
+        if best == 0:
+            break
+        value, found = _max_flow_unit(g, sources, sinks, best)
+        if value < best:
+            best, side = value, found
+    if side is None:
+        return best, None
     cut = tuple(e for e in g.edges if (e[0] in side) != (e[1] in side))
-    if len(cut) != size:
+    if len(cut) != best:
         raise AssertionError("residual cut size must equal the flow value")
-    return cut
+    return best, cut
 
 
 def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
@@ -127,7 +139,6 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     if g.n <= 1:
         return 0, ()
     v0 = min(range(g.n), key=g.degree)
-    best, best_side = g.degree(v0), {v0}
     blocked = [False] * g.n
     dominating = []
     for v in range(g.n):
@@ -135,13 +146,8 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
             dominating.append(v)
             for u in g.neighbors(v):
                 blocked[u] = True
-    for d in dominating[1:]:
-        if best == 0:
-            break
-        value, side = _max_flow_unit(g, (dominating[0],), (d,), best)
-        if value < best:
-            best, best_side = value, side
-    return best, _cut(g, best_side, best)
+    pairs = (((dominating[0],), (d,)) for d in dominating[1:])
+    return _least_cut(g, pairs, g.degree(v0), {v0})
 
 
 def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:
@@ -165,23 +171,16 @@ def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:
     if not g.edges:
         return PropertyReport(name, True)
     x, y = g.edges[0]
-    pairs = [((x, y), e) for e in g.edges if x not in e and y not in e]
-    pairs += [
+    pairs = [((x, y), e) for e in g.edges if x not in e and y not in e] + [
         ((x, u), (y, w))
         for u in g.neighbors(x) if u != y
         for w in g.neighbors(y) if w != x and w != u
     ]
-    best, best_side = k, None
-    for sources, sinks in pairs:
-        if best == 0:
-            break
-        value, side = _max_flow_unit(g, sources, sinks, best)
-        if value < best:
-            best, best_side = value, side
-    if best_side is None:
+    best, cut = _least_cut(g, pairs, k, None)
+    if cut is None:
         return PropertyReport(name, True)
     return PropertyReport(
-        name, False, witness=_cut(g, best_side, best),
+        name, False, witness=cut,
         detail=f"removing {best} edges leaves two components of order >= 2",
     )
 

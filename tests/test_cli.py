@@ -193,6 +193,16 @@ def test_certify_witness_mismatch_is_input_error(capsys, tmp_path, c5, w02):
                 "--witness", str(bad)]) == 2
 
 
+def test_certify_witness_must_agree_with_the_replay(capsys, files, c5, w02):
+    # S = {}, T = {1, 3} leaves the odd components {0, 4} and {2}, not none
+    argv = ["certify", "--graph", c5, "--terminals", w02, "--witness"]
+    assert run(argv + [files("none.witness", "S:\nT: 1 3\ndelta: -2\nodd: 0\n")]) == 2
+    assert "odd components differ" in capsys.readouterr().err
+    two_t = files("two-t.witness", "S:\nT: 1 3\nT: 1\ndelta: -2\nodd: 0\n")
+    assert run(argv + [two_t]) == 2
+    assert "line 3: repeated T line" in capsys.readouterr().err
+
+
 def test_verify_failure_and_undecided_codes(capsys, files):
     p3 = files("p3.graph", serialize_graph(cycle_graph(3)))
     assert run(["verify", "--graph", p3, "--regular", "3"]) == 1

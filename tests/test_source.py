@@ -49,3 +49,56 @@ def test_every_keyword_only_parameter_is_set_by_a_caller():
     }
     unset = sorted(f"{fn}({arg}=)" for fn, arg in knobs - set_by_callers)
     assert not unset, f"keyword-only parameters no caller sets: {unset}"
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pathcycle"
+
+
+def _tree(module: str) -> ast.Module:
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _named(node: ast.AST) -> set[str]:
+    """Every name, attribute and imported name written inside ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.update({sub.name, sub.asname} - {None})
+    return names
+
+
+def test_no_route_calls_another():
+    # the solver, the brute-force oracle and the exhaustive scan decide
+    # feasibility independently.  Only direct references are checked: a
+    # route that reached another through a helper would pass unnoticed.
+    package_imports = [
+        ast.unparse(node)
+        for node in ast.walk(_tree("_certkernel"))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "pathcycle")
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "pathcycle" for alias in node.names)
+    ]
+    assert not package_imports, f"_certkernel imports the package: {package_imports}"
+    solver = {"solve", "find_f_factor", "maximum_matching", "build_gadget"}
+    oracle = {"brute_force_f_factor"}
+    scan = {"search_certificate", "least_violation"}
+    forbidden = {
+        ("factor", "brute_force_f_factor"): solver | scan,
+        ("tutte", "search_certificate"): solver | oracle,
+        ("factor", "find_f_factor"): oracle | scan,
+        ("factor", "solve"): oracle | scan,
+    }
+    crossed = {}
+    for (module, name), names in forbidden.items():
+        (func,) = [
+            node for node in _tree(module).body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        crossed[f"{module}.{name}"] = sorted(_named(func) & names)
+    assert not any(crossed.values()), f"routes that name another route: {crossed}"

@@ -219,6 +219,20 @@ def test_witness_parse_errors():
         parse_certificate("S:\nT:\ndelta: 0\nodd: 2\ncomp: 1\n")
     with pytest.raises(GraphFormatError, match="unknown"):
         parse_certificate("S:\nT:\ndelta: 0\nX: 1\n")
+    with pytest.raises(GraphFormatError, match="line 3: repeated T"):
+        parse_certificate("S:\nT: 1 3\nT: 1\ndelta: -2\nodd: 0\n")
+    with pytest.raises(GraphFormatError, match="line 2: repeated S"):
+        parse_certificate("S:\nS: 1\nT:\ndelta: 0\nodd: 0\n")
+    with pytest.raises(GraphFormatError, match="line 4: repeated delta"):
+        parse_certificate("S:\nT:\ndelta: 0\ndelta: 0\nodd: 0\n")
+    with pytest.raises(GraphFormatError, match="line 5: repeated odd"):
+        parse_certificate("S:\nT:\ndelta: 0\nodd: 0\nodd: 0\n")
+    with pytest.raises(GraphFormatError, match="line 3: the delta line"):
+        parse_certificate("S:\nT: 1 3\ndelta: -2 7\nodd: 0\n")
+    with pytest.raises(GraphFormatError, match="line 4: the odd line"):
+        parse_certificate("S:\nT:\ndelta: 0\nodd: 0 1\n")
+    with pytest.raises(GraphFormatError, match="no odd line"):
+        parse_certificate("S:\nT: 1 3\ndelta: -2\ncomp: 0 4\ncomp: 2\n")
 
 
 def test_evaluate_pair_packages_components():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -111,6 +112,28 @@ def test_edge_connectivity_witness_may_be_a_vertex_star():
     assert edge_connectivity(complete_graph(5)) == (4, ((0, 1), (0, 2), (0, 3), (0, 4)))
 
 
+#: computed with the residual-network flow, before flows were kept as the
+#: arcs that carry them: every cut witness must stay the same
+CONNECTIVITY_WITNESSES_SHA256 = "dc37443f9fb89d8bf73e7253ed5d4b33577d43d6ef0af83f9b39cf63893deb96"
+
+
+def test_connectivity_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for gen, params in COUNTEREXAMPLE_LADDER:
+        digest.update(repr(edge_connectivity(getattr(families, gen)(*params).graph)).encode())
+    rng = random.Random(12)
+    for i in range(300):
+        g = random_graph(rng, rng.randrange(0, 25), rng.choice((0.08, 0.15, 0.25, 0.4)))
+        if i % 3 == 0:  # isolated vertices, at either end of the index order
+            shift = rng.randrange(3)
+            extra = shift + rng.randrange(3)
+            g = Graph(g.n + extra, [(u + shift, v + shift) for u, v in g.edges])
+        digest.update(repr(edge_connectivity(g)).encode())
+        for k in range(1, 6):
+            digest.update(repr(essential_edge_connectivity_at_least(g, k)).encode())
+    assert digest.hexdigest() == CONNECTIVITY_WITNESSES_SHA256
+
+
 @pytest.mark.parametrize(
     "gen, params, bound",
     # the n - 1 loop ran 237 and 139 flows on these
@@ -129,6 +152,51 @@ def test_edge_connectivity_flow_count_stays_bounded(monkeypatch, gen, params, bo
     monkeypatch.setattr(verify, "_max_flow_unit", counting)
     edge_connectivity(g)
     assert 0 < calls <= bound
+
+
+def _cut_size(g, side):
+    return sum(1 for u, v in g.edges if (u in side) != (v in side))
+
+
+def _assert_flow_is_a_minimum_cut(g, sources, sinks, limit):
+    """The capped flow's value is min(limit, min |delta(X)| over A <= X <=
+    V - B), by brute force; below the limit its side is such an X with
+    exactly that many cut edges.  Returns whether it stopped below."""
+    free = [v for v in range(g.n) if v not in sources and v not in sinks]
+    least = min(
+        _cut_size(g, set(sources) | set(extra))
+        for r in range(len(free) + 1)
+        for extra in itertools.combinations(free, r)
+    )
+    value, side = verify._max_flow_unit(g, sources, sinks, limit)
+    case = (g.n, g.edges, sources, sinks, limit)
+    assert value == min(limit, least), case
+    if value == limit:
+        assert side is None, case
+        return False
+    assert set(sources) <= side and not side & set(sinks), case
+    assert _cut_size(g, side) == value, case
+    return True
+
+
+def test_max_flow_unit_equals_a_brute_force_minimum_cut():
+    # the third augmenting path cancels the unit the second sent over 4 - 3,
+    # and the cut's source side is found only by crossing 3 -> 4 again:
+    # random graphs this small almost never reuse a cancelled edge
+    g = Graph(8, [(0, 1), (0, 3), (0, 6), (1, 4), (1, 5), (1, 7), (2, 3), (2, 7),
+                  (3, 4), (3, 5), (4, 6), (5, 7)])
+    assert _assert_flow_is_a_minimum_cut(g, (1,), (0,), 5)
+    rng = random.Random(29)
+    below = 0
+    for _ in range(400):
+        n = rng.randrange(2, 9)
+        g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+        a = rng.randrange(1, min(2, n - 1) + 1)
+        b = rng.randrange(1, min(2, n - a) + 1)
+        picked = rng.sample(range(n), a + b)
+        limit = rng.randrange(1, 6)
+        below += _assert_flow_is_a_minimum_cut(g, tuple(picked[:a]), tuple(picked[a:]), limit)
+    assert 100 < below < 300
 
 
 # -- essential edge connectivity --------------------------------------------------
