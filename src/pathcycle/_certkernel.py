@@ -14,34 +14,33 @@ by_t(X) = deg(X) - 2 f(X) + e(X).  As e(T, S) = e(R) - e(T) - e(S),
     delta(S, T) + q(S, T) = f(R) - e(R) + by_t(T) + e(S).
 
 For q, ``rep[u, R]`` names the component of u in G - R by its lowest vertex,
-for every R at once.  Over bitmasks of these names, the components with odd
-f(D) start the mask, each y in T toggles the components joined to y by an
-odd number of edges, and q is the popcount of the result.
+for every R at once.  Over bitmasks of these names, ``x0[R]`` holds the
+components with odd f(D) and ``par[y, R]`` those joined to y by an odd
+number of edges, and q(S, T) is the popcount of x0[R] XOR par[y, R] over y
+in T.  The tables take about 2n + 11 bytes per vertex set, 0.6 MB at n = 14.
 
 Removal sets are scanned layer by layer in ascending |R|, all splits of a
 chunk of R-sets at once, and the scan stops at the first layer that holds a
-violation.  Beyond the tables, about n + 10 bytes per vertex set, a chunk
-holds at most ``_CHUNK`` pairs.  The scan reads only the graph and the
-degree spec and shares no code with :func:`pathcycle.tutte.delta` or the
-solver, so it stays an independent route to the answer.
+violation.  The scan reads only the graph and the degree spec and shares no
+code with :func:`pathcycle.tutte.delta` or the solver, so it stays an
+independent route to the answer.
 
-The component labels ``rep`` have two consumers: this scan, which reads q
-from them, and :func:`component_counts`, which counts the components of
-G - R for every R for :func:`pathcycle.verify.path_system_criterion`.  They
-take (n + 1) 2^n bytes, about 5 MB at the criterion's bound of 18 vertices.
+:func:`component_counts` reads ``rep`` alone, for
+:func:`pathcycle.verify.path_system_criterion`: (n + 1) 2^n bytes, about
+5 MB at the criterion's bound of 18 vertices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Pairs evaluated per vectorised step, about 18 bytes each; bounds the
-#: working set beyond the tables.
+#: Pairs evaluated per vectorised step, about 15 bytes each: a chunk of
+#: R-sets of size k holds max(1, _CHUNK >> k) of them.
 _CHUNK = 1 << 14
 
 
 def _set_tables(g, f, n: int, ids):
-    """``(fsum, by_t, inner)``: f(X), by_t(X) and e(X) for every set X < 2^n.
+    """``(base, by_t, inner)``: f(X) - e(X), by_t(X) and e(X) for every set X < 2^n.
 
     Each doubling step adds vertex v to the sets below 2^v.  With f(v) at
     most deg(v) + 2, every entry is O(n^2) and int16 holds it.
@@ -55,7 +54,7 @@ def _set_tables(g, f, n: int, ids):
         np.add(inner[:h], e_v, out=inner[h:2 * h])
         np.add(by_t[:h], e_v, out=by_t[h:2 * h])
         by_t[h:2 * h] += g.degree(v) - 2 * f[v]
-    return fsum, by_t, inner
+    return fsum - inner, by_t, inner
 
 
 def _component_labels(g, n: int):
@@ -115,50 +114,51 @@ class _Scan:
         f = [min(f[v], g.degree(v) + 2 - (f[v] - g.degree(v)) % 2) for v in range(n)]
         self.ids = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
         self.pc = np.bitwise_count(self.ids)
-        self.fsum, self.by_t, self.inner = _set_tables(g, f, n, self.ids)
-        self.rep = _component_labels(g, n)
-        self.odd_f = np.array([v for v in range(n) if f[v] % 2], np.intp)[:, None]
-        # neighbour lists padded with row n of rep
-        self.nbrs = np.full((n, max(map(g.degree, range(n)), default=0)), n, np.intp)
-        for v in range(n):
-            self.nbrs[v, :g.degree(v)] = g.neighbors(v)
-        self.one = np.min_scalar_type(1 << n).type(1)
-        self.shifts = np.arange(n, dtype=np.uint8)
+        self.base, self.by_t, self.inner = _set_tables(g, f, n, self.ids)
+        # bits[u, R]: u's label as a mask, 0 for u in R (label n)
+        one = np.min_scalar_type(1 << n).type(1)
+        bits = (one << _component_labels(g, n)[:n]) & ((1 << n) - 1)
+        # x0[R] holds the components of G - R with odd f(D) and par[y, R]
+        # those joined to y by an odd number of edges
+        self.x0 = np.zeros(1 << n, one.dtype)
+        self.par = np.zeros((n, 1 << n), one.dtype)
+        for y in range(n):
+            if f[y] % 2:
+                self.x0 ^= bits[y]
+            for u in g.neighbors(y):  # one edge at a time
+                self.par[y] ^= bits[u]
 
     def chunks(self):
-        """Yield ``(k, R-sets of size k)`` in ascending k, a chunk at a time."""
-        width = self.nbrs.shape[1]
+        """Yield ``(k, R-sets of size k, pos)`` in ascending k, a chunk at a
+        time; row i of ``pos`` lists the vertices of R-set i in ascending order."""
+        shifts = np.arange(self.n, dtype=self.ids.dtype)
         for k in range(self.n + 1):
             layer = self.ids[self.pc == k]
-            # bounds both the pairs and the neighbour lookups of a chunk
-            rows = max(1, _CHUNK // max(1 << k, k * width))
+            pos = np.nonzero((layer[:, None] >> shifts) & 1)[1].reshape(len(layer), k)
+            rows = max(1, _CHUNK >> k)
             for lo in range(0, len(layer), rows):
-                yield k, layer[lo:lo + rows]
+                yield k, layer[lo:lo + rows], pos[lo:lo + rows]
 
-    def violations(self, rs, k: int):
+    def violations(self, rs, pos, k: int):
         """``(S, T)`` masks of the violating splits of the R-sets ``rs`` of size k."""
-        one, full = self.one, (1 << self.n) - 1
-        pos = np.nonzero((rs[:, None] >> self.shifts) & 1)[1].reshape(len(rs), k)
-        # par[i, j]: the components joined to vertex pos[i, j] by an odd
-        # number of edges; x starts as the components of odd f(D) and each
-        # vertex of T toggles its par
-        comps = one << self.rep[self.nbrs[pos], rs[:, None, None]]
-        par = np.bitwise_xor.reduce(comps, axis=2) & full
+        par = self.par[pos, rs[:, None]]
         # row i of t and x: the splits whose T takes the positions set in i
         t = np.zeros((1 << k, len(rs)), np.intp)
-        x = np.empty_like(t, one.dtype)
-        x[0] = np.bitwise_xor.reduce(one << self.rep[self.odd_f, rs], axis=0) & full
+        x = np.empty_like(t, self.x0.dtype)
+        x[0] = self.x0[rs]
         for j in range(k):
             h = 1 << j
             np.bitwise_or(t[:h], 1 << pos[:, j], out=t[h:2 * h])
             np.bitwise_xor(x[:h], par[:, j], out=x[h:2 * h])
         d = self.by_t[t]
         d += self.inner[np.bitwise_xor(t, rs, out=t)]  # t now holds S
-        d += self.fsum[rs] - self.inner[rs]
+        d += self.base[rs]
         d -= np.bitwise_count(x)
+        if d.min() >= 0:  # no violation, as in every chunk of a feasible scan
+            return []
         split, col = np.nonzero(d < 0)
         s = t[split, col]
-        return s, s ^ rs[col]
+        return zip(s.tolist(), (s ^ rs[col]).tolist())
 
 
 def least_violation(g, f) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -169,10 +169,10 @@ def least_violation(g, f) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """
     scan = _Scan(g, f)
     least = None
-    for k, rs in scan.chunks():
+    for k, rs, pos in scan.chunks():
         if least is not None and k > len(least[0]) + len(least[1]):
             break
-        for pair in zip(*(m.tolist() for m in scan.violations(rs, k))):
+        for pair in scan.violations(rs, pos, k):
             members = tuple(tuple(v for v in range(g.n) if m >> v & 1) for m in pair)
             if least is None or members < least:
                 least = members
