@@ -8,6 +8,7 @@ this scale.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -45,11 +46,18 @@ def _read_terminals(path: str, g: Graph) -> tuple[int, ...]:
     return parse_terminals(Path(path).read_text(), g)
 
 
-def _parse_list(text: str) -> tuple[int, ...]:
+def _parse_list(flag: str, text: str) -> tuple[int, ...]:
+    """A comma-separated vertex list given to ``flag``; a malformed one is a
+    usage error naming the flag and its value."""
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"{flag} {text!r} is not a comma-separated list of vertices"
+        ) from None
 
 
 def _cmd_solve(args) -> int:
@@ -99,7 +107,7 @@ def _cmd_certify(args) -> int:
         stored = parse_certificate(Path(args.witness).read_text())
         s, t = stored.s, stored.t
     else:
-        stored, s, t = None, _parse_list(args.s), _parse_list(args.t)
+        stored, s, t = None, _parse_list("--s", args.s), _parse_list("--t", args.t)
     cert = evaluate_pair(g, f, s, t)
     sys.stdout.write(format_certificate(cert))
     if stored is not None and stored.delta != cert.delta:
@@ -120,6 +128,12 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     if args.mode is not None and args.terminals is None:
         print("--mode requires --terminals", file=sys.stderr)
+        return EXIT_USAGE
+    if args.edge_connectivity is not None and args.edge_connectivity <= 0:
+        print(
+            f"--edge-connectivity must be positive, got {args.edge_connectivity}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     g = _read_graph(args.graph)
     reports: list[PropertyReport] = []
@@ -199,7 +213,7 @@ def _cmd_generate(args) -> int:
 def _cmd_discharge(args) -> int:
     g = _read_graph(args.graph)
     w = _read_terminals(args.terminals, g)
-    report = discharge(g, w, _parse_list(args.s), _parse_list(args.t), args.r)
+    report = discharge(g, w, _parse_list("--s", args.s), _parse_list("--t", args.t), args.r)
     sys.stdout.write(report.format())
     ok = (
         report.conservation_ok
@@ -210,7 +224,10 @@ def _cmd_discharge(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pathcycle",
         description="Spanning path-cycle systems: solve, verify, certify, generate",

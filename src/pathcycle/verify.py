@@ -8,7 +8,6 @@ without trusting this module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -68,35 +67,47 @@ def _max_flow_unit(
     """Max flow, one unit per undirected edge, from a source set to a
     disjoint sink set, each contracted, capped at ``limit`` augmenting paths.
 
-    The flow is the set ``sent`` of arcs (u, v) carrying a unit from u to v:
-    u -> v is residual iff (u, v) is not sent.  Returns ``(limit, None)``
-    once the flow reaches ``limit``; below it, ``(value, side)`` with
-    ``side`` the residual source side at termination (a minimum cut shore).
+    The flow is the set ``sent`` of arc keys ``u * n + v``, one for each arc
+    carrying a unit from u to v: u -> v is residual iff its key is not sent.
+    Returns ``(limit, None)`` once the flow reaches ``limit``; below it,
+    ``(value, side)`` with ``side`` the vertices residually reachable from
+    the sources.  That is the intersection of all minimum cut shores
+    containing the sources, whatever maximum flow was found, so the shore
+    does not depend on the order in which paths were augmented.
     """
-    sent: set[Edge] = set()
+    n, adj = g.n, g._adj
+    is_sink = bytearray(n)
+    for t in sinks:
+        is_sink[t] = 1
+    sent: set[int] = set()
     flow = 0
     while flow < limit:
-        parent = {s: s for s in sources}
-        queue = deque(sources)
-        reached = None
-        while queue and reached is None:
-            u = queue.popleft()
-            for v in g._adj[u]:
-                if v not in parent and (u, v) not in sent:
+        parent = [-1] * n
+        for s in sources:
+            parent[s] = s
+        queue = list(sources)
+        reached = -1
+        for u in queue:  # grows while it is walked: a breadth-first search
+            base = u * n
+            for v in adj[u]:
+                if parent[v] < 0 and base + v not in sent:
                     parent[v] = u
-                    if v in sinks:
+                    if is_sink[v]:
                         reached = v
                         break
                     queue.append(v)
-        if reached is None:
-            return flow, set(parent)
+            if reached >= 0:
+                break
+        if reached < 0:
+            return flow, set(queue)
         v = reached
         while parent[v] != v:
             u = parent[v]
-            if (v, u) in sent:
-                sent.remove((v, u))
+            back = v * n + u
+            if back in sent:
+                sent.remove(back)
             else:
-                sent.add((u, v))
+                sent.add(u * n + v)
             v = u
         flow += 1
     return limit, None

@@ -99,6 +99,21 @@ def test_certify_explicit_pair(capsys, c5, w02):
     assert "delta: -2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["certify", "discharge"])
+@pytest.mark.parametrize("flag", ["--s", "--t"])
+def test_malformed_vertex_list_names_its_flag(capsys, c5, w02, command, flag):
+    lists = {"--s": "", "--t": "1,3", flag: "1,,3"}
+    argv = [command, "--graph", c5, "--terminals", w02] + [
+        x for opt, text in lists.items() for x in (opt, text)
+    ]
+    if command == "discharge":
+        argv += ["--r", "2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} '1,,3' is not a comma-separated list of vertices\n"
+
+
 def test_certify_requires_a_mode(c5, w02):
     assert run(["certify", "--graph", c5, "--terminals", w02]) == 2
 
@@ -236,6 +251,15 @@ def test_verify_requires_some_check(c5):
     assert run(["verify", "--graph", c5]) == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_verify_edge_connectivity_below_one_is_usage_error(capsys, c5, k):
+    # K <= 0 holds on every graph, so a PASS would check nothing
+    assert run(["verify", "--graph", c5, "--edge-connectivity", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--edge-connectivity must be positive, got {k}\n"
+
+
 def test_generate_random_requires_seed(tmp_path):
     assert run(["generate", "--family", "random", "--r", "4", "--n", "20",
                 "--out", str(tmp_path / "r")]) == 2
@@ -336,6 +360,32 @@ def test_cli_import_leaves_numpy_unloaded(files, c6, empty_w):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False [0, 0, 3]"
+
+
+def test_run_calls_share_one_parser(capsys, files, c6, empty_w):
+    # each command gives the same exit code and output after others as it
+    # does as the first command of a process
+    oracle = ["oracle", "--graph", c6, "--terminals", empty_w]
+    sequences = [
+        [["solve", "--graph", c6, "--nope", "y"], ["verify", "--graph", c6, "--regular", "2"]],
+        [oracle + ["--max-edges", "x"], oracle],
+        [oracle + ["--max-edges", "2"], oracle],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def first(argv):
+        build_parser.cache_clear()
+        return outcome(argv)
+
+    for argvs in sequences:
+        alone = [first(argv) for argv in argvs]
+        build_parser.cache_clear()
+        assert [outcome(argv) for argv in argvs] == alone
+    assert [code for code, _, _ in alone] == [3, 0]  # --max-edges 2, then the default 24
 
 
 def test_missing_file(empty_w):

@@ -160,21 +160,23 @@ def _cut_size(g, side):
 
 def _assert_flow_is_a_minimum_cut(g, sources, sinks, limit):
     """The capped flow's value is min(limit, min |delta(X)| over A <= X <=
-    V - B), by brute force; below the limit its side is such an X with
-    exactly that many cut edges.  Returns whether it stopped below."""
+    V - B), by brute force; below the limit its side is the intersection of
+    all such X with exactly that many cut edges, so it does not depend on
+    the augmenting order.  Returns whether it stopped below."""
     free = [v for v in range(g.n) if v not in sources and v not in sinks]
-    least = min(
-        _cut_size(g, set(sources) | set(extra))
+    shores = [
+        set(sources) | set(extra)
         for r in range(len(free) + 1)
         for extra in itertools.combinations(free, r)
-    )
+    ]
+    least = min(_cut_size(g, x) for x in shores)
     value, side = verify._max_flow_unit(g, sources, sinks, limit)
     case = (g.n, g.edges, sources, sinks, limit)
     assert value == min(limit, least), case
     if value == limit:
         assert side is None, case
         return False
-    assert set(sources) <= side and not side & set(sinks), case
+    assert side == set.intersection(*(x for x in shores if _cut_size(g, x) == least)), case
     assert _cut_size(g, side) == value, case
     return True
 
