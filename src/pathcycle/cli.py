@@ -129,12 +129,11 @@ def _cmd_verify(args) -> int:
     if args.mode is not None and args.terminals is None:
         print("--mode requires --terminals", file=sys.stderr)
         return EXIT_USAGE
-    if args.edge_connectivity is not None and args.edge_connectivity <= 0:
-        print(
-            f"--edge-connectivity must be positive, got {args.edge_connectivity}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    for flag in ("regular", "edge_connectivity", "star_free"):
+        k = getattr(args, flag)
+        if k is not None and k <= 0:  # K <= 0 would check nothing
+            print(f"--{flag.replace('_', '-')} must be positive, got {k}", file=sys.stderr)
+            return EXIT_USAGE
     g = _read_graph(args.graph)
     reports: list[PropertyReport] = []
     if args.regular is not None:

@@ -12,6 +12,7 @@ connectivity, and ``prop2-general`` its second block's edge
 connectivity.  The whole instance's edge connectivity and star-freeness
 are left to callers.  Every terminal condition, nbhd2 included, is
 decided in :mod:`pathcycle.verify`; this module counts no terminals.
+Nothing is cached: every call builds and checks a fresh instance.
 
 Families:
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -201,7 +201,6 @@ def _hub_family(
     )
 
 
-@lru_cache(maxsize=None)
 def gen_prop1_odd(r: int, k: int) -> FamilyInstance:
     """Odd r >= 5, even k >= r+1: edge connectivity r-1.
 
@@ -228,7 +227,6 @@ def gen_prop1_odd(r: int, k: int) -> FamilyInstance:
     return _hub_family("prop1-odd", r, 2 * r, blocks, (0, r - 1), r - 1)
 
 
-@lru_cache(maxsize=None)
 def gen_prop1_even(r: int, k: int) -> FamilyInstance:
     """Even r, k >= r (even k required when r % 4 == 0): edge connectivity r-2.
 
@@ -277,7 +275,6 @@ def gen_prop1_even(r: int, k: int) -> FamilyInstance:
 # -- family 3: bipartite, parity obstruction ---------------------------------
 
 
-@lru_cache(maxsize=None)
 def gen_prop1_bipartite(r: int, n: int) -> FamilyInstance:
     """r-regular r-edge-connected bipartite circulant with both terminals
     in the same side at distance 4; equal side sizes make any system with
@@ -317,7 +314,6 @@ def gen_prop1_bipartite(r: int, n: int) -> FamilyInstance:
 # -- family 4: r = 4, terminals with two neighbors allowed -------------------
 
 
-@lru_cache(maxsize=None)
 def gen_prop2_r4(n: int) -> FamilyInstance:
     """4-regular 4-edge-connected K_{1,4}-free instance on 10n vertices.
 
@@ -497,7 +493,6 @@ def _glued_family(
     )
 
 
-@lru_cache(maxsize=None)
 def gen_prop2_general(r: int, m: int) -> FamilyInstance:
     """r >= 6, m a multiple of r-1 with m >= 2(r-1)^2.
 
@@ -543,7 +538,6 @@ def gen_prop2_general(r: int, m: int) -> FamilyInstance:
     )
 
 
-@lru_cache(maxsize=None)
 def gen_prop2_r5(m: int) -> FamilyInstance:
     """r = 5, m a multiple of 4 with m >= 96.
 
@@ -738,29 +732,29 @@ def verify_claims(inst: FamilyInstance) -> list[PropertyReport]:
 
 
 def write_instance(inst: FamilyInstance, prefix: str | Path) -> list[Path]:
-    """Emit <prefix>.graph/.terminals/.names and, when present, .witness."""
+    """Emit <prefix>.graph/.terminals/.names and, when present, .witness.
+
+    Each suffix is appended to the prefix's name, so a dotted prefix keeps
+    its dots and no sibling file is touched.
+    """
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    # fresh files: no stale witness survives, and no truncating rewrite
-    for suffix in (".graph", ".terminals", ".names", ".witness"):
-        prefix.with_suffix(suffix).unlink(missing_ok=True)
-    written = []
-    gpath = prefix.with_suffix(".graph")
-    gpath.write_text(
-        serialize_graph(inst.graph, comments=(f"family {inst.name}",) + inst.claims)
-    )
-    written.append(gpath)
-    tpath = prefix.with_suffix(".terminals")
-    tpath.write_text(serialize_terminals(inst.w))
-    written.append(tpath)
-    npath = prefix.with_suffix(".names")
-    lines = [f"c {label} {idx}" for label, idx in sorted(
+    names = [f"c {label} {idx}" for label, idx in sorted(
         inst.name_map.items(), key=lambda kv: kv[1]
     )]
-    npath.write_text("\n".join(lines) + "\n" if lines else "")
-    written.append(npath)
-    if inst.witness is not None:
-        wpath = prefix.with_suffix(".witness")
-        wpath.write_text(format_certificate(_replayed_witness(inst)))
-        written.append(wpath)
+    texts = {
+        ".graph": serialize_graph(inst.graph, comments=(f"family {inst.name}",) + inst.claims),
+        ".terminals": serialize_terminals(inst.w),
+        ".names": "\n".join(names) + "\n" if names else "",
+        ".witness": None if inst.witness is None
+        else format_certificate(_replayed_witness(inst)),
+    }
+    written = []
+    for suffix, text in texts.items():
+        path = prefix.parent / (prefix.name + suffix)
+        # fresh files: no stale witness survives, and no truncating rewrite
+        path.unlink(missing_ok=True)
+        if text is not None:
+            path.write_text(text)
+            written.append(path)
     return written

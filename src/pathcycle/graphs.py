@@ -1,6 +1,7 @@
 """Simple undirected graphs on dense integer vertices, plus text I/O.
 
-Vertices are always 0..n-1.  Graphs are immutable after construction and
+Vertices are always 0..n-1.  A graph's fields are all set by its
+constructor and nothing is cached on it later, so graphs are immutable and
 safe to share between threads.  The text format is line oriented ASCII:
 
     c optional comment
@@ -38,7 +39,7 @@ class Graph:
     indices outside 0..n-1.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -73,7 +74,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        self._masks: tuple[int, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -94,18 +94,6 @@ class Graph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
         return v in self._adj[u]
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks; computed once and cached."""
-        if self._masks is None:
-            masks = []
-            for v in range(self.n):
-                m = 0
-                for u in self._adj[v]:
-                    m |= 1 << u
-                masks.append(m)
-            self._masks = tuple(masks)
-        return self._masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -202,46 +202,44 @@ def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:
 def find_induced_star(g: Graph, m: int) -> tuple[int, tuple[int, ...]] | None:
     """Find a vertex with ``m`` pairwise non-adjacent neighbors, if any.
 
-    Returns (center, leaves) for the first center in vertex order, searching
-    its neighborhood for an independent set by branch and bound; ``None``
-    means the graph is K_{1,m}-free.
+    Returns (center, leaves) for the first center in vertex order and the
+    first independent ``m``-subset of its neighbours in combinations order;
+    ``None`` means the graph is K_{1,m}-free.  Each centre's neighbourhood
+    is searched depth first on an explicit stack, so the depth is not
+    bounded by the recursion limit.  The search keeps the set of neighbours
+    that no pick is adjacent to, and for each pick the neighbours it took
+    out of that set.  Those sets are disjoint, so the search holds at most
+    one entry per neighbour of the centre.
     """
     if m <= 0:
         raise ValueError("star size must be positive")
-    masks = g.adjacency_masks()
+    adj = g._adj
+    # both empty again after every centre whose search fails
+    picks: list[int] = []  # positions of the chosen neighbours
+    taken: list[set[int]] = []  # taken[d]: the free neighbours of the d-th pick
     for center in range(g.n):
-        nbrs = g.neighbors(center)
-        if len(nbrs) < m:
+        nbrs = adj[center]
+        k = len(nbrs)
+        if k < m:
             continue
-        found = _independent_subset(nbrs, masks, m)
-        if found is not None:
-            return center, found
+        free = set(nbrs)  # the neighbours no pick is adjacent to
+        i = 0
+        while len(picks) < m:
+            if len(picks) + k - i < m:  # too few neighbours left: backtrack
+                if not picks:
+                    break
+                i = picks.pop() + 1
+                free |= taken.pop()
+            elif nbrs[i] not in free:
+                i += 1
+            else:
+                picks.append(i)
+                taken.append(free.intersection(adj[nbrs[i]]))
+                free -= taken[-1]
+                i += 1
+        if picks:
+            return center, tuple(nbrs[j] for j in picks)
     return None
-
-
-def _independent_subset(
-    candidates: tuple[int, ...], masks: tuple[int, ...], m: int
-) -> tuple[int, ...] | None:
-    """The first ``m``-subset of ``candidates``, in combinations order, that
-    is independent: a depth-first search on an explicit stack, so its depth
-    is not bounded by the recursion limit."""
-    k = len(candidates)
-    picks: list[int] = []  # positions of the chosen candidates
-    blocked = [0]  # blocked[d]: the neighbours of the first d picks
-    i = 0
-    while len(picks) < m:
-        if len(picks) + k - i < m:  # too few candidates left: backtrack
-            if not picks:
-                return None
-            i = picks.pop() + 1
-            blocked.pop()
-        elif blocked[-1] >> candidates[i] & 1:
-            i += 1
-        else:
-            picks.append(i)
-            blocked.append(blocked[-1] | masks[candidates[i]])
-            i += 1
-    return tuple(candidates[j] for j in picks)
 
 
 # -- the theorem's graph hypotheses -----------------------------------------

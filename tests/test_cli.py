@@ -251,13 +251,17 @@ def test_verify_requires_some_check(c5):
     assert run(["verify", "--graph", c5]) == 2
 
 
-@pytest.mark.parametrize("k", ["0", "-3"])
-def test_verify_edge_connectivity_below_one_is_usage_error(capsys, c5, k):
+@pytest.mark.parametrize(
+    "flag, k",
+    [pytest.param("--edge-connectivity", k, id=k) for k in ("0", "-3")]
+    + [(flag, k) for flag in ("--regular", "--star-free") for k in ("0", "-3")],
+)
+def test_verify_edge_connectivity_below_one_is_usage_error(capsys, c5, flag, k):
     # K <= 0 holds on every graph, so a PASS would check nothing
-    assert run(["verify", "--graph", c5, "--edge-connectivity", k]) == 2
+    assert run(["verify", "--graph", c5, flag, k]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"--edge-connectivity must be positive, got {k}\n"
+    assert captured.err == f"{flag} must be positive, got {k}\n"
 
 
 def test_generate_random_requires_seed(tmp_path):

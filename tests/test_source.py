@@ -18,13 +18,16 @@ def test_runtime_checks_are_explicit_raises():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _called_name(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
+def _name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return None
+
+
+def _called_name(call: ast.Call) -> str | None:
+    return _name(call.func)
 
 
 def test_every_keyword_only_parameter_is_set_by_a_caller():
@@ -102,3 +105,22 @@ def test_no_route_calls_another():
         ]
         crossed[f"{module}.{name}"] = sorted(_named(func) & names)
     assert not any(crossed.values()), f"routes that name another route: {crossed}"
+
+
+def test_no_function_carries_a_hidden_cache():
+    # a cache must show in the bench that it pays for itself.  Only the one
+    # argument parser per process did: in BENCH_14.json it took cli.run_s's
+    # self time on a counterexamples pass from 0.0200 s to 0.0033 s, so
+    # cli.build_parser keeps its functools.cache
+    caches = {"cache", "lru_cache", "cached_property"}
+    cached = sorted(
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            _name(d.func if isinstance(d, ast.Call) else d) in caches
+            for d in node.decorator_list
+        )
+    )
+    assert cached == ["cli.build_parser"], f"cached functions: {cached}"

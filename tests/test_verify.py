@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -339,6 +341,39 @@ def test_star_is_the_first_independent_combination():
 def test_star_search_is_not_bounded_by_recursion_depth():
     leaves = 3000
     assert find_induced_star(star_graph(leaves), leaves) == (0, tuple(range(1, leaves + 1)))
+
+
+#: computed with the search over whole-graph adjacency bitmasks, before it
+#: kept only sets within the centre's neighbourhood: every witness must stay
+#: the same
+STAR_WITNESSES_SHA256 = "9ed96d5bc01d1835592da5e67be7a3da9e7f682f5e10ac3263e5993dd55f601b"
+
+
+def test_star_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for gen, params in COUNTEREXAMPLE_LADDER + [("gen_prop1_bipartite", (4, 12))]:
+        inst = getattr(families, gen)(*params)
+        digest.update(repr(find_induced_star(inst.graph, inst.r)).encode())
+    rng = random.Random(29)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(0, 15), rng.uniform(0.1, 0.7))
+        digest.update(repr(find_induced_star(g, rng.randrange(1, 7))).encode())
+    assert digest.hexdigest() == STAR_WITNESSES_SHA256
+
+
+def test_star_search_takes_linear_memory():
+    n = 40_000  # whole-graph bitmasks peaked at 103 MB here
+    g = Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        found = find_induced_star(g, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is None
+    assert peak < 2 * 2**20, peak
+    assert time.perf_counter() - started < 1.0
 
 
 # -- terminal sets -----------------------------------------------------------------
