@@ -27,7 +27,6 @@ from .factor import (
     degree_spec_from_terminals,
     extract_f_factor,
     find_f_factor,
-    matching_from_factor,
     solve,
 )
 from .families import (
@@ -45,9 +44,7 @@ from .families import (
 from .graphs import (
     INFINITY,
     Graph,
-    components_after_removal,
     distance,
-    edge_count_between,
     parse_graph,
     parse_terminals,
     serialize_graph,
@@ -97,14 +94,12 @@ __all__ = [
     "build_gadget",
     "check_regular",
     "check_terminal_set",
-    "components_after_removal",
     "decompose_system",
     "degree_spec_from_terminals",
     "delta",
     "discharge",
     "distance",
     "edge_connectivity",
-    "edge_count_between",
     "essential_edge_connectivity_at_least",
     "evaluate_pair",
     "extract_f_factor",
@@ -117,7 +112,6 @@ __all__ = [
     "gen_prop2_general",
     "gen_prop2_r4",
     "gen_prop2_r5",
-    "matching_from_factor",
     "maximum_matching",
     "odd_components",
     "parse_certificate",

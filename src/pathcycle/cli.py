@@ -39,25 +39,23 @@ EXIT_UNDECIDED = 3
 
 
 def _read_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(Path(path).read_bytes())
 
 
 def _read_terminals(path: str, g: Graph) -> tuple[int, ...]:
-    return parse_terminals(Path(path).read_text(), g)
+    return parse_terminals(Path(path).read_bytes(), g)
 
 
 def _parse_list(flag: str, text: str) -> tuple[int, ...]:
-    """A comma-separated vertex list given to ``flag``; a malformed one is a
-    usage error naming the flag and its value."""
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"{flag} {text!r} is not a comma-separated list of vertices"
-        ) from None
+    """A comma-separated ASCII vertex list given to ``flag``; a malformed one
+    is a usage error naming the flag and its value."""
+    fields = text.split(",") if text.strip() else []
+    if text.isascii():
+        try:
+            return tuple(int(x) for x in fields)
+        except ValueError:
+            pass
+    raise ValueError(f"{flag} {text.strip()!r} is not a comma-separated list of vertices")
 
 
 def _cmd_solve(args) -> int:
@@ -104,7 +102,7 @@ def _cmd_certify(args) -> int:
         sys.stdout.write(format_certificate(cert))
         return EXIT_VIOLATION
     if args.witness is not None:
-        stored = parse_certificate(Path(args.witness).read_text())
+        stored = parse_certificate(Path(args.witness).read_bytes())
         s, t = stored.s, stored.t
     else:
         stored, s, t = None, _parse_list("--s", args.s), _parse_list("--t", args.t)
@@ -188,6 +186,9 @@ FAMILIES = {
 
 
 def _cmd_generate(args) -> int:
+    if Path(args.out).name in ("", ".."):  # '', '.' or '..' would write '.graph' and so on
+        print(f"--out {args.out!r} does not end in a file name", file=sys.stderr)
+        return EXIT_USAGE
     fam = args.family
     if fam not in FAMILIES:
         print(f"unknown family {fam!r}", file=sys.stderr)

@@ -147,32 +147,6 @@ def extract_f_factor(gg: GadgetGraph, matching: Matching) -> FFactor:
     return factor
 
 
-def matching_from_factor(gg: GadgetGraph, factor: FFactor) -> Matching:
-    """Reverse map: build a perfect gadget matching from an f-factor.
-
-    Ports of factor edges are matched across; the remaining ports of each
-    vertex are matched to its cores in index order.
-    """
-    chosen = set(factor.edges)
-    mate = [-1] * gg.graph.n
-    for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs):
-        if e in chosen:
-            mate[pu] = pv
-            mate[pv] = pu
-    for v in range(gg.host.n):
-        free_ports = [p for p in gg.ports_of(v) if mate[p] < 0]
-        cores = gg.cores_of(v)
-        if len(free_ports) != len(cores):
-            raise ValueError("factor does not meet the degree spec at vertex %d" % v)
-        for p, c in zip(free_ports, cores):
-            mate[p] = c
-            mate[c] = p
-    m = Matching.from_mates(mate)
-    if not m.is_perfect(gg.graph):
-        raise AssertionError("gadget matching from the factor is not perfect")
-    return m
-
-
 # -- decomposition ---------------------------------------------------------
 
 

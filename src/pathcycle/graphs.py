@@ -81,9 +81,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -120,7 +117,8 @@ def as_vertex_set(g: Graph, vertices: Iterable[int], name: str = "vertex set") -
 
 
 def decode_ascii(text: str | bytes) -> str:
-    """The text of an input file given as str or bytes; bytes must be ASCII."""
+    """The text of an input file given as str or bytes; either must be ASCII,
+    or ``int`` would read digits from other scripts."""
     if isinstance(text, bytes):
         try:
             return text.decode("ascii")
@@ -128,6 +126,9 @@ def decode_ascii(text: str | bytes) -> str:
             raise GraphFormatError(
                 f"byte {text[exc.start]:#04x} at offset {exc.start} is not ASCII"
             ) from None
+    if not text.isascii():
+        i = next(i for i, c in enumerate(text) if not c.isascii())
+        raise GraphFormatError(f"character U+{ord(text[i]):04X} at offset {i} is not ASCII")
     return text
 
 
@@ -215,31 +216,6 @@ def serialize_terminals(w: Iterable[int]) -> str:
 # -- traversal primitives -------------------------------------------------
 
 
-def components_after_removal(g: Graph, removed: Iterable[int]) -> list[tuple[int, ...]]:
-    """Connected components of the subgraph induced on V(g) minus ``removed``.
-
-    Blocks are sorted tuples, listed by ascending minimum vertex.
-    """
-    gone = set(as_vertex_set(g, removed, "removed set"))
-    seen = [False] * g.n
-    blocks: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if start in gone or seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if not seen[v] and v not in gone:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        blocks.append(tuple(sorted(comp)))
-    return blocks
-
-
 def distance(g: Graph, u: int, v: int) -> int | float:
     """Shortest-path length; :data:`INFINITY` when u and v are disconnected."""
     for x in (u, v):
@@ -260,17 +236,3 @@ def distance(g: Graph, u: int, v: int) -> int | float:
                 queue.append(y)
     return INFINITY
 
-
-def edge_count_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    """Number of edges with one endpoint in ``a`` and the other in ``b``."""
-    sa = set(as_vertex_set(g, a, "first set"))
-    sb = set(as_vertex_set(g, b, "second set"))
-    if sa & sb:
-        raise ValueError(f"sets overlap at vertex {min(sa & sb)}")
-    if len(sa) > len(sb):
-        sa, sb = sb, sa
-    return sum(1 for u in sa for v in g.neighbors(u) if v in sb)
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components_after_removal(g, ())) <= 1

@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from pathcycle.graphs import Graph, components_after_removal, distance, is_connected
+from pathcycle.graphs import Graph, distance
 
 
 # -- tiny named graphs -------------------------------------------------------
@@ -38,6 +38,30 @@ def petersen_graph() -> Graph:
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+def components(g: Graph, removed=()) -> list[tuple[int, ...]]:
+    """Components of G minus ``removed`` by plain BFS over ``Graph.neighbors``:
+    sorted tuples, listed by ascending least vertex."""
+    seen = set(removed)
+    blocks = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [start], deque([start])
+        while queue:
+            for v in g.neighbors(queue.popleft()):
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    queue.append(v)
+        blocks.append(tuple(sorted(comp)))
+    return blocks
+
+
+def is_connected(g: Graph) -> bool:
+    return len(components(g)) <= 1
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -222,7 +246,7 @@ def naive_pair_evaluation(g: Graph, f, s, t) -> dict:
     s_set, t_set = set(s), set(t)
     odd = []
     e_t = []
-    for comp in components_after_removal(g, s_set | t_set):
+    for comp in components(g, s_set | t_set):
         members = set(comp)
         e = sum(1 for y in t_set for x in g.neighbors(y) if x in members)
         if (sum(f[v] for v in comp) + e) % 2 == 1:

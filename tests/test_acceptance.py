@@ -25,7 +25,7 @@ from pathcycle.families import (
     gen_prop2_r5,
     random_valid_instance,
 )
-from pathcycle.graphs import Graph, is_connected, serialize_graph, serialize_terminals
+from pathcycle.graphs import Graph, serialize_graph, serialize_terminals
 from pathcycle.tutte import delta, evaluate_pair, search_certificate
 from pathcycle.verify import (
     check_regular,
@@ -34,7 +34,7 @@ from pathcycle.verify import (
     find_induced_star,
 )
 
-from .conftest import random_connected_graph, sample_even_terminal_sets
+from .conftest import is_connected, random_connected_graph, sample_even_terminal_sets
 
 SEED = 0x5EED
 

@@ -316,6 +316,19 @@ def test_generate_oversized_instance_is_usage_error(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out", ["", ".", ".."])
+def test_generate_out_without_a_file_name_is_usage_error(tmp_path, monkeypatch, capsys, out):
+    # such a prefix would write '.graph' and its siblings, unlinking any there
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ".graph").write_text("not this instance's\n")
+    assert run(["generate", "--family", "prop2-r4", "--n", "6", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--out {out!r} does not end in a file name\n"
+    assert [p.name for p in tmp_path.iterdir()] == [".graph"]
+    assert (tmp_path / ".graph").read_text() == "not this instance's\n"
+
+
 def test_discharge_cli(capsys, tmp_path):
     inst = gen_prop1_odd(5, 6)
     write_instance(inst, tmp_path / "odd")
@@ -333,6 +346,35 @@ def test_bad_graph_file_reports_usage_error(files, empty_w, capsys):
     bad = files("bad.graph", "p 2 1\ne 0 0\n")
     assert run(["solve", "--graph", bad, "--terminals", empty_w]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["graph", "terminals", "witness", "--s"])
+def test_non_ascii_input_is_usage_error(tmp_path, capsys, target):
+    # int() reads U+FF12 as 2 and U+0661 as 1, so each input must be ASCII
+    texts = {
+        "graph": "p 3 2\ne 0 1\ne 1 2\n",
+        "terminals": "0 2\n",
+        "witness": "S: 1\nT:\ndelta: 0\nodd: 2\ncomp: 0\ncomp: 2\n",
+        "--s": "1",
+    }
+
+    def certify():
+        for name in ("graph", "terminals", "witness"):
+            (tmp_path / name).write_bytes(texts[name].encode())
+        mode = ["--witness", str(tmp_path / "witness")] if target == "witness" else [
+            "--s", texts["--s"], "--t", ""]
+        return run(["certify", "--graph", str(tmp_path / "graph"),
+                    "--terminals", str(tmp_path / "terminals"), *mode])
+
+    assert certify() == 0
+    capsys.readouterr()
+    old, new = {"graph": ("1 2", "1 \uff12"), "terminals": ("2", "\uff12"),
+                "witness": ("S: 1", "S: \u0661"), "--s": ("1", "\u0661")}[target]
+    texts[target] = texts[target].replace(old, new)
+    assert certify() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("is not a comma-separated list" if target == "--s" else "is not ASCII") in captured.err
 
 
 def test_vertex_count_above_cap_is_usage_error(files, empty_w, capsys):

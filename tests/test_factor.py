@@ -14,12 +14,11 @@ from pathcycle.factor import (
     degree_spec_from_terminals,
     extract_f_factor,
     find_f_factor,
-    matching_from_factor,
     solve,
 )
 from pathcycle.families import random_valid_instance
 from pathcycle.graphs import Graph, serialize_graph, serialize_terminals
-from pathcycle.matching import maximum_matching
+from pathcycle.matching import Matching, maximum_matching
 
 from .conftest import (
     complete_graph,
@@ -150,6 +149,23 @@ def test_extract_requires_perfect_matching():
         extract_f_factor(gg, maximum_matching(Graph(2, [(0, 1)])))
 
 
+def _matching_from_factor(gg, factor: FFactor) -> Matching:
+    """The perfect gadget matching of an f-factor: ports of factor edges are
+    matched across, and each vertex's other ports to its cores in index order."""
+    chosen = set(factor.edges)
+    mate = [-1] * gg.graph.n
+    for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs):
+        if e in chosen:
+            mate[pu], mate[pv] = pv, pu
+    for v in range(gg.host.n):
+        free_ports = [p for p in gg.ports_of(v) if mate[p] < 0]
+        cores = gg.cores_of(v)
+        assert len(free_ports) == len(cores), v
+        for p, c in zip(free_ports, cores):
+            mate[p], mate[c] = c, p
+    return Matching.from_mates(mate)
+
+
 def test_gadget_soundness_both_ways():
     """A factor found by the oracle converts into a perfect gadget matching
     and back into the same factor."""
@@ -165,7 +181,7 @@ def test_gadget_soundness_both_ways():
         if factor is None:
             continue
         gg = build_gadget(g, f)
-        m = matching_from_factor(gg, factor)
+        m = _matching_from_factor(gg, factor)
         assert m.is_perfect(gg.graph)
         for u, v in m.pairs:
             assert gg.graph.has_edge(u, v)

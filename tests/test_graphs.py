@@ -7,14 +7,13 @@ from pathcycle.graphs import (
     INFINITY,
     MAX_PARSE_VERTICES,
     Graph,
-    components_after_removal,
     distance,
-    edge_count_between,
     parse_graph,
     parse_terminals,
     serialize_graph,
     serialize_terminals,
 )
+from pathcycle.tutte import parse_certificate
 
 from .conftest import cycle_graph, random_connected_graph
 
@@ -41,7 +40,7 @@ def test_rejects_out_of_range():
 
 def test_degree_sum_is_twice_edge_count():
     g = cycle_graph(7)
-    assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count
+    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
 
 
 def test_adjacency_symmetry():
@@ -54,7 +53,7 @@ def test_adjacency_symmetry():
         rng.shuffle(edges)
         graphs.append(Graph(n, edges))
     for g in graphs:
-        for u in g.vertices():
+        for u in range(g.n):
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
             # neighbour lists are sorted, whatever order the edges came in
@@ -112,9 +111,12 @@ def test_parse_rejects_vertex_count_above_cap():
 
 
 def test_parse_rejects_non_ascii_bytes():
-    for parse in (parse_graph, parse_terminals):
-        with pytest.raises(GraphFormatError, match="not ASCII"):
+    # as str too: int() would read the fullwidth digit as 2
+    for parse in (parse_graph, parse_terminals, parse_certificate):
+        with pytest.raises(GraphFormatError, match="byte 0xff at offset 0 is not ASCII"):
             parse(b"\xff")
+        with pytest.raises(GraphFormatError, match="U\\+FF12 at offset 16 is not ASCII"):
+            parse("p 3 2\ne 0 1\ne 1 \uff12\n")
 
 
 def test_parse_skips_comments():
@@ -169,32 +171,7 @@ def test_terminals_out_of_range():
         parse_terminals("7", cycle_graph(6))
 
 
-# -- traversal ------------------------------------------------------------------
-
-
-def test_components_cycle_minus_opposite():
-    assert components_after_removal(cycle_graph(4), [0, 2]) == [(1,), (3,)]
-
-
-def test_components_nothing_removed():
-    g = cycle_graph(5)
-    assert components_after_removal(g, []) == [(0, 1, 2, 3, 4)]
-
-
-def test_components_invalid_vertex():
-    with pytest.raises(ValueError):
-        components_after_removal(cycle_graph(4), [9])
-
-
-def test_components_have_no_crossing_edges():
-    rng = random.Random(5)
-    for _ in range(20):
-        g = random_connected_graph(rng, 8, 0.3)
-        removed = tuple(v for v in range(8) if rng.random() < 0.3)
-        blocks = components_after_removal(g, removed)
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                assert edge_count_between(g, blocks[i], blocks[j]) == 0
+# -- distance -------------------------------------------------------------------
 
 
 def test_distance_basic():
@@ -222,10 +199,3 @@ def test_distance_triangle_inequality():
                 for c in range(g.n):
                     assert distance(g, a, c) <= distance(g, a, b) + distance(g, b, c)
 
-
-def test_edge_count_between_cases():
-    g = cycle_graph(4)
-    assert edge_count_between(g, [0], [1, 3]) == 2
-    assert edge_count_between(g, [0, 1], []) == 0
-    with pytest.raises(ValueError, match="overlap"):
-        edge_count_between(g, [0, 1], [1, 2])

@@ -124,3 +124,32 @@ def test_no_function_carries_a_hidden_cache():
         )
     )
     assert cached == ["cli.build_parser"], f"cached functions: {cached}"
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    # a function or class that only tests name is a test oracle kept in the
+    # package; it belongs in the tests.  The package's re-exports in
+    # __init__.py name everything, so they do not count either, while a
+    # string naming a definition (perfbench's table of traced spans) does
+    root = PACKAGE.parents[1]
+    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    defined = {
+        f"{path.stem}.{node.name}": node.name
+        for path in modules
+        for node in _tree(path.stem).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    assert defined
+    named = set()
+    for path in modules + sorted((root / "demos").glob("*.py")) + sorted(
+        path for path in (root / "perfbench").glob("*.py") if not path.name.startswith("test_")
+    ):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named |= _named(tree)
+        named |= {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+    unnamed = sorted(qual for qual, name in defined.items() if name not in named)
+    assert not unnamed, f"public definitions that only tests name: {unnamed}"

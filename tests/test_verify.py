@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from pathcycle import families, verify
-from pathcycle.graphs import Graph, components_after_removal
+from pathcycle.graphs import Graph
 from pathcycle.verify import (
     check_regular,
     check_terminal_set,
@@ -20,6 +20,7 @@ from pathcycle.verify import (
 from .conftest import (
     COUNTEREXAMPLE_LADDER,
     complete_graph,
+    components,
     cycle_graph,
     naive_distance3_violation,
     naive_nbhd1_violation,
@@ -67,14 +68,14 @@ def test_edge_connectivity_cut_witness_disconnects():
         assert lam <= min(g.degree(v) for v in range(g.n))
         assert len(cut) == lam
         kept = [e for e in g.edges if e not in set(cut)]
-        assert len(components_after_removal(Graph(g.n, kept), [])) >= 2
+        assert len(components(Graph(g.n, kept))) >= 2
 
 
 def _assert_minimum_cut(g, lam, cut):
     assert len(cut) == lam and set(cut) <= set(g.edges)
     if g.n >= 2:
         kept = [e for e in g.edges if e not in set(cut)]
-        assert len(components_after_removal(Graph(g.n, kept), [])) >= 2
+        assert len(components(Graph(g.n, kept))) >= 2
 
 
 def test_edge_connectivity_equals_the_reference_on_family_instances():
@@ -212,7 +213,7 @@ def _naive_essential_cut_size(g, k):
     for j in range(k):
         for combo in itertools.combinations(g.edges, j):
             kept = [e for e in g.edges if e not in set(combo)]
-            comps = components_after_removal(Graph(g.n, kept), [])
+            comps = components(Graph(g.n, kept))
             if sum(1 for c in comps if len(c) >= 2) >= 2:
                 return j
     return None
@@ -220,7 +221,7 @@ def _naive_essential_cut_size(g, k):
 
 def _assert_essential_witness(g, rep):
     kept = [e for e in g.edges if e not in set(rep.witness)]
-    comps = components_after_removal(Graph(g.n, kept), [])
+    comps = components(Graph(g.n, kept))
     assert sum(1 for c in comps if len(c) >= 2) >= 2
 
 
@@ -496,7 +497,7 @@ def _naive_criterion(g: Graph):
     in ascending mask order, counting components by traversal."""
     for mask in range((1 << g.n) - 1):
         s = tuple(v for v in range(g.n) if mask >> v & 1)
-        comps = len(components_after_removal(g, s))
+        comps = len(components(g, s))
         if comps > len(s) + 1:
             detail = f"removing S={list(s)} leaves {comps} components > |S|+1={len(s) + 1}"
             return False, (s, comps), detail
