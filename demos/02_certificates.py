@@ -11,9 +11,8 @@ from pathcycle import (
     Graph,
     brute_force_f_factor,
     degree_spec_from_terminals,
-    delta,
+    evaluate_pair,
     format_certificate,
-    odd_components,
     search_certificate,
     solve,
 )
@@ -22,9 +21,9 @@ c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 f = degree_spec_from_terminals(c5, [0, 2])
 
 # Evaluate one pair by hand: S empty, T = {1, 3}.
-print("delta(C5; S={}, T={1,3}) =", delta(c5, f, [], [1, 3]))
-q, comps = odd_components(c5, f, [], [1, 3])
-print("f-odd components:", comps)
+pair = evaluate_pair(c5, f, [], [1, 3])
+print("delta(C5; S={}, T={1,3}) =", pair.delta)
+print("f-odd components:", list(pair.odd_components))
 
 # The exhaustive search returns the least violating pair, as a witness
 # file that the CLI can replay on any machine.
@@ -45,5 +44,5 @@ for w in [(), (0, 2), (1, 4)]:
 # Parity: the deficiency of any pair has the parity of the degree total.
 total = f.total
 for s, t in [((), ()), ((0,), ()), ((), (1, 3)), ((4,), (2,))]:
-    assert (delta(c5, f, s, t) - total) % 2 == 0
+    assert (evaluate_pair(c5, f, s, t).delta - total) % 2 == 0
 print("parity of delta always matches f(V):", total % 2 == 0)

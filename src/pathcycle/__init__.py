@@ -53,10 +53,8 @@ from .graphs import (
 from .matching import Matching, maximum_matching
 from .tutte import (
     TutteCertificate,
-    delta,
     evaluate_pair,
     format_certificate,
-    odd_components,
     parse_certificate,
     search_certificate,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "check_terminal_set",
     "decompose_system",
     "degree_spec_from_terminals",
-    "delta",
     "discharge",
     "distance",
     "edge_connectivity",
@@ -113,7 +110,6 @@ __all__ = [
     "gen_prop2_r4",
     "gen_prop2_r5",
     "maximum_matching",
-    "odd_components",
     "parse_certificate",
     "parse_graph",
     "parse_terminals",

@@ -22,7 +22,7 @@ in T.  The tables take about 2n + 11 bytes per vertex set, 0.6 MB at n = 14.
 Removal sets are scanned layer by layer in ascending |R|, all splits of a
 chunk of R-sets at once, and the scan stops at the first layer that holds a
 violation.  The scan reads only the graph and the degree spec and shares no
-code with :func:`pathcycle.tutte.delta` or the solver, so it stays an
+code with :func:`pathcycle.tutte.evaluate_pair` or the solver, so it stays an
 independent route to the answer.
 
 :func:`component_counts` reads ``rep`` alone, for

@@ -16,13 +16,8 @@ from . import families
 from .discharge import discharge
 from .errors import GraphFormatError, UndecidedAtScaleError
 from .factor import brute_force_f_factor, decompose_system, degree_spec_from_terminals, solve
-from .graphs import Graph, parse_graph, parse_terminals
-from .tutte import (
-    evaluate_pair,
-    format_certificate,
-    parse_certificate,
-    search_certificate,
-)
+from .graphs import Graph, parse_graph, parse_int, parse_terminals
+from .tutte import evaluate_pair, format_certificate, parse_certificate, search_certificate
 from .verify import (
     PropertyReport,
     check_regular,
@@ -47,12 +42,13 @@ def _read_terminals(path: str, g: Graph) -> tuple[int, ...]:
 
 
 def _parse_list(flag: str, text: str) -> tuple[int, ...]:
-    """A comma-separated ASCII vertex list given to ``flag``; a malformed one
-    is a usage error naming the flag and its value."""
+    """A comma-separated ASCII vertex list given to ``flag``, spaces allowed
+    around each index; a malformed one is a usage error naming the flag and
+    its value."""
     fields = text.split(",") if text.strip() else []
     if text.isascii():
         try:
-            return tuple(int(x) for x in fields)
+            return tuple(parse_int(x.strip()) for x in fields)
         except ValueError:
             pass
     raise ValueError(f"{flag} {text.strip()!r} is not a comma-separated list of vertices")
@@ -99,24 +95,11 @@ def _cmd_certify(args) -> int:
         if cert is None:
             print("NO-CERTIFICATE")
             return EXIT_OK
-        sys.stdout.write(format_certificate(cert))
-        return EXIT_VIOLATION
-    if args.witness is not None:
-        stored = parse_certificate(Path(args.witness).read_bytes())
-        s, t = stored.s, stored.t
+    elif args.witness is not None:
+        cert = parse_certificate(Path(args.witness).read_bytes()).validate(g, f)
     else:
-        stored, s, t = None, _parse_list("--s", args.s), _parse_list("--t", args.t)
-    cert = evaluate_pair(g, f, s, t)
+        cert = evaluate_pair(g, f, _parse_list("--s", args.s), _parse_list("--t", args.t))
     sys.stdout.write(format_certificate(cert))
-    if stored is not None and stored.delta != cert.delta:
-        print(
-            f"witness file claims delta {stored.delta}, recomputed {cert.delta}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if stored is not None and stored.odd_components != cert.odd_components:
-        print("witness file's odd components differ from the recomputed ones", file=sys.stderr)
-        return EXIT_USAGE
     return EXIT_VIOLATION if cert.delta < 0 else EXIT_OK
 
 

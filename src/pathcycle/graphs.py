@@ -8,8 +8,10 @@ safe to share between threads.  The text format is line oriented ASCII:
     p <n> <m>
     e <u> <v>        (exactly m lines, 0 <= u < v < n)
 
-A terminal-set file is a single line of whitespace-separated vertex
-indices (possibly empty).
+A line whose first whitespace-separated field is ``c`` is a comment, here
+and in witness files.  A terminal-set file is a single line of
+whitespace-separated vertex indices (possibly empty).  Every number in these
+formats is written in plain decimal digits (see :func:`parse_int`).
 """
 
 from __future__ import annotations
@@ -132,6 +134,15 @@ def decode_ascii(text: str | bytes) -> str:
     return text
 
 
+def parse_int(field: str) -> int:
+    """The integer an ASCII ``field`` spells in decimal digits, with an
+    optional leading ``-``; ``ValueError`` otherwise.  ``int`` alone also
+    reads ``+1`` and ``1_0``, so two spellings of one file would parse alike."""
+    if field.isdigit() or field[:1] == "-" and field[1:].isdigit():
+        return int(field)
+    raise ValueError(f"{field!r} is not a decimal integer")
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the ``p``/``e`` line format; errors name the offending line."""
     text = decode_ascii(text)
@@ -139,17 +150,16 @@ def parse_graph(text: str | bytes) -> Graph:
     m = None
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
+        fields = raw.split()
+        if not fields or fields[0] == "c":
             continue
-        fields = line.split()
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError("second 'p' header", lineno)
             if len(fields) != 3:
                 raise GraphFormatError("header must be 'p <n> <m>'", lineno)
             try:
-                n, m = int(fields[1]), int(fields[2])
+                n, m = parse_int(fields[1]), parse_int(fields[2])
             except ValueError:
                 raise GraphFormatError("non-integer header field", lineno) from None
             if n < 0 or m < 0:
@@ -164,7 +174,7 @@ def parse_graph(text: str | bytes) -> Graph:
             if len(fields) != 3:
                 raise GraphFormatError("edge line must be 'e <u> <v>'", lineno)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = parse_int(fields[1]), parse_int(fields[2])
             except ValueError:
                 raise GraphFormatError("non-integer vertex index", lineno) from None
             if u == v:
@@ -198,7 +208,7 @@ def parse_terminals(text: str | bytes, g: Graph | None = None) -> tuple[int, ...
     text = decode_ascii(text)
     fields = text.split()
     try:
-        vs = [int(f) for f in fields]
+        vs = [parse_int(f) for f in fields]
     except ValueError:
         raise GraphFormatError("non-integer terminal index") from None
     if len(set(vs)) != len(vs):

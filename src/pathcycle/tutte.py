@@ -9,9 +9,9 @@ An f-factor exists iff delta(S, T) >= 0 for every disjoint pair, and
 delta always has the parity of f(V(G)).  A pair with delta < 0 is an
 infeasibility certificate that can be replayed in linear time.
 
-Every pair-level query (:func:`odd_components`, :func:`delta`,
-:func:`evaluate_pair`, :meth:`TutteCertificate.validate` and the discharge
-verifier) reads one traversal of G - (S u T) made by :func:`_pair_profile`.
+A pair is evaluated by :func:`evaluate_pair` and a stored certificate is
+replayed by :meth:`TutteCertificate.validate`; both, and the discharge
+verifier, read one traversal of G - (S u T) made by :func:`_pair_profile`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import GraphFormatError, UndecidedAtScaleError
 from .factor import DegreeSpec
-from .graphs import Graph, as_vertex_set, decode_ascii
+from .graphs import Graph, as_vertex_set, decode_ascii, parse_int
 
 
 def _disjoint_sets(
@@ -101,19 +101,6 @@ def _pair_profile(
     return _PairProfile(ss, ts, side, odd, e_t, comp_id, deg_gs_t, value)
 
 
-def odd_components(
-    g: Graph, f: DegreeSpec, s: Iterable[int], t: Iterable[int]
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The f-odd components of G - (S u T): those D with f(V(D)) + e(D,T) odd."""
-    odd = _pair_profile(g, f, s, t).odd
-    return len(odd), odd
-
-
-def delta(g: Graph, f: DegreeSpec, s: Iterable[int], t: Iterable[int]) -> int:
-    """Exact deficiency of the pair (S, T)."""
-    return _pair_profile(g, f, s, t).delta
-
-
 @dataclass(frozen=True)
 class TutteCertificate:
     """A disjoint pair (S, T) with its deficiency and f-odd components."""
@@ -127,12 +114,17 @@ class TutteCertificate:
     def q(self) -> int:
         return len(self.odd_components)
 
-    def validate(self, g: Graph, f: DegreeSpec) -> None:
-        prof = _pair_profile(g, f, self.s, self.t)
-        if tuple(prof.odd) != self.odd_components:
-            raise AssertionError("stored odd components do not recompute")
-        if prof.delta != self.delta:
-            raise AssertionError("stored deficiency does not recompute")
+    def validate(self, g: Graph, f: DegreeSpec) -> TutteCertificate:
+        """Replay the stored pair on (g, f): the recomputed certificate, with
+        S and T sorted, or ``ValueError`` naming what the stored one gets wrong."""
+        cert = evaluate_pair(g, f, self.s, self.t)
+        if cert.delta != self.delta:
+            raise ValueError(
+                f"certificate claims deficiency {self.delta}, the pair recomputes to {cert.delta}"
+            )
+        if cert.odd_components != self.odd_components:
+            raise ValueError("certificate's odd components differ from the recomputed ones")
+        return cert
 
 
 def evaluate_pair(
@@ -201,16 +193,16 @@ def parse_certificate(text: str | bytes) -> TutteCertificate:
     lines: dict[str, tuple[int, ...]] = {}
     comps: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c "):
+        fields = raw.split()
+        if not fields or fields[0] == "c":
             continue
-        label, _, rest = line.partition(":")
+        label, _, rest = raw.strip().partition(":")
         if label not in ("S", "T", "delta", "odd", "comp"):
             raise GraphFormatError(f"unknown witness line {label!r}", lineno)
         if label in lines:
             raise GraphFormatError(f"repeated {label} line", lineno)
         try:
-            values = tuple(int(x) for x in rest.split())
+            values = tuple(map(parse_int, rest.split()))
         except ValueError:
             raise GraphFormatError("malformed witness line", lineno) from None
         if label in ("delta", "odd") and len(values) != 1:

@@ -222,7 +222,7 @@ def naive_least_violation(g: Graph, f):
 
     Independent of the kernel and of the phase-2 ordered search.
     """
-    from pathcycle.tutte import delta
+    from pathcycle.tutte import evaluate_pair
 
     verts = list(range(g.n))
     best = None
@@ -231,7 +231,7 @@ def naive_least_violation(g: Graph, f):
             rest = [v for v in verts if v not in set(s)]
             for t_size in range(len(rest) + 1):
                 for t in itertools.combinations(rest, t_size):
-                    if delta(g, f, s, t) < 0:
+                    if evaluate_pair(g, f, s, t).delta < 0:
                         key = (len(s) + len(t), s, t)
                         if best is None or key < best:
                             best = key

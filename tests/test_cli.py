@@ -102,16 +102,18 @@ def test_certify_explicit_pair(capsys, c5, w02):
 @pytest.mark.parametrize("command", ["certify", "discharge"])
 @pytest.mark.parametrize("flag", ["--s", "--t"])
 def test_malformed_vertex_list_names_its_flag(capsys, c5, w02, command, flag):
-    lists = {"--s": "", "--t": "1,3", flag: "1,,3"}
-    argv = [command, "--graph", c5, "--terminals", w02] + [
-        x for opt, text in lists.items() for x in (opt, text)
-    ]
-    if command == "discharge":
-        argv += ["--r", "2"]
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {flag} '1,,3' is not a comma-separated list of vertices\n"
+    # int() would read "+1" as 1 and "1_0" as 10
+    for bad in ("1,,3", "+1,3", "1_0,3", "1,3 3"):
+        lists = {"--s": "", "--t": "1,3", flag: bad}
+        argv = [command, "--graph", c5, "--terminals", w02] + [
+            x for opt, text in lists.items() for x in (opt, text)
+        ]
+        if command == "discharge":
+            argv += ["--r", "2"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} {bad!r} is not a comma-separated list of vertices\n"
 
 
 def test_certify_requires_a_mode(c5, w02):
@@ -209,13 +211,31 @@ def test_certify_witness_mismatch_is_input_error(capsys, tmp_path, c5, w02):
 
 
 def test_certify_witness_must_agree_with_the_replay(capsys, files, c5, w02):
-    # S = {}, T = {1, 3} leaves the odd components {0, 4} and {2}, not none
+    # S = {}, T = {1, 3} has delta -2 and the odd components {0, 4} and {2}
     argv = ["certify", "--graph", c5, "--terminals", w02, "--witness"]
-    assert run(argv + [files("none.witness", "S:\nT: 1 3\ndelta: -2\nodd: 0\n")]) == 2
-    assert "odd components differ" in capsys.readouterr().err
+    for name, text, named in [
+        ("none", "S:\nT: 1 3\ndelta: -2\nodd: 0\n", "odd components differ"),
+        ("delta", "S:\nT: 1 3\ndelta: 0\nodd: 2\ncomp: 0 4\ncomp: 2\n",
+         "claims deficiency 0, the pair recomputes to -2"),
+        ("comp", "S:\nT: 1 3\ndelta: -2\nodd: 2\ncomp: 0\ncomp: 2 4\n", "odd components differ"),
+        ("order", "S:\nT: 1 3\ndelta: -2\nodd: 2\ncomp: 2\ncomp: 0 4\n", "odd components differ"),
+    ]:
+        assert run(argv + [files(f"{name}.witness", text)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert named in captured.err, name
     two_t = files("two-t.witness", "S:\nT: 1 3\nT: 1\ndelta: -2\nodd: 0\n")
     assert run(argv + [two_t]) == 2
     assert "line 3: repeated T line" in capsys.readouterr().err
+
+
+def test_certify_witness_replays_an_unsorted_pair(capsys, files, c5, w02):
+    argv = ["certify", "--graph", c5, "--terminals", w02, "--witness"]
+    assert run(argv + [files("t.witness", "S:\nT: 3 1\ndelta: -2\nodd: 2\ncomp: 0 4\ncomp: 2\n")]) == 1
+    assert capsys.readouterr().out == "S:\nT: 1 3\ndelta: -2\nodd: 2\ncomp: 0 4\ncomp: 2\n"
+    # S = {2, 0}, T = {} leaves {1} and {3, 4}, both f-even: delta = f(S) = 2
+    assert run(argv + [files("s.witness", "S: 2 0\nT:\ndelta: 2\nodd: 0\n")]) == 0
+    assert capsys.readouterr().out == "S: 0 2\nT:\ndelta: 2\nodd: 0\n"
 
 
 def test_verify_failure_and_undecided_codes(capsys, files):

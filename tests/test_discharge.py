@@ -10,7 +10,7 @@ from pathcycle.discharge import (
 )
 from pathcycle.factor import degree_spec_from_terminals
 from pathcycle.families import random_valid_instance
-from pathcycle.tutte import delta
+from pathcycle.tutte import evaluate_pair
 
 from .conftest import (
     cycle_graph,
@@ -89,7 +89,7 @@ def test_derived_delta_matches_direct_evaluation():
         hyp = GraphHypotheses(r=5, regular=False, star_free=False, edge_connected=False)
         rep = discharge(g, w, s, t, 5, hypotheses=hyp)
         f = degree_spec_from_terminals(g, w)
-        assert rep.derived_delta == delta(g, f, s, t)
+        assert rep.derived_delta == evaluate_pair(g, f, s, t).delta
 
 
 def _naive_final_charges(g, w, s, t, r, odd):

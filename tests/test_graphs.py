@@ -124,6 +124,34 @@ def test_parse_skips_comments():
     assert g.edge_count == 1
 
 
+def test_comment_rule_is_the_same_in_every_parser():
+    # a line whose first whitespace-separated field is c is a comment
+    for comment in ("c", "c\tnote", "  c  note", "c  "):
+        assert parse_graph(f"{comment}\np 2 1\n{comment}\ne 0 1\n") == Graph(2, [(0, 1)])
+        cert = parse_certificate(f"{comment}\nS:\nT: 1 3\n{comment}\ndelta: -2\nodd: 0\n")
+        assert (cert.s, cert.t, cert.delta) == ((), (1, 3), -2)
+    for line, match in (("cc 1", "unknown line type 'cc'"), ("c:1", "unknown line type 'c:1'")):
+        with pytest.raises(GraphFormatError, match=match):
+            parse_graph(f"{line}\np 1 0\n")
+
+
+def test_parsers_take_plain_decimal_digits_only():
+    # int() also reads "+1" and "1_0", so two files would parse to one graph
+    for text in ("p 1_1 1\ne +0 1_0\n", "p +2 1\ne 0 1\n", "p 2 1\ne 0 +1\n", "p 2 1\ne 0_0 1\n"):
+        with pytest.raises(GraphFormatError, match="non-integer"):
+            parse_graph(text)
+    for text in (" +1 0_2 ", "1_0", "+3"):
+        with pytest.raises(GraphFormatError, match="non-integer terminal index"):
+            parse_terminals(text)
+    # a negative value keeps its own message
+    with pytest.raises(GraphFormatError, match="negative count in header"):
+        parse_graph("p -1 0\n")
+    with pytest.raises(GraphFormatError, match="out of range"):
+        parse_graph("p 3 1\ne -1 2\n")
+    with pytest.raises(GraphFormatError, match="outside"):
+        parse_terminals("-1 2", cycle_graph(4))
+
+
 def test_serialize_canonical_order():
     g = Graph(3, [(1, 2), (0, 2), (0, 1)])
     assert serialize_graph(g) == "p 3 3\ne 0 1\ne 0 2\ne 1 2\n"

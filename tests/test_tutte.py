@@ -11,10 +11,8 @@ from pathcycle.factor import DegreeSpec, brute_force_f_factor, degree_spec_from_
 from pathcycle.graphs import Graph
 from pathcycle.tutte import (
     TutteCertificate,
-    delta,
     evaluate_pair,
     format_certificate,
-    odd_components,
     parse_certificate,
     search_certificate,
 )
@@ -39,22 +37,22 @@ from .conftest import (
 def test_empty_pair_has_zero_deficiency_when_connected():
     for g in (cycle_graph(6), complete_graph(5)):
         f = degree_spec_from_terminals(g, [])
-        assert delta(g, f, [], []) == 0
+        assert evaluate_pair(g, f, [], []).delta == 0
 
 
 def test_c5_example_values():
     g = cycle_graph(5)
     f = degree_spec_from_terminals(g, [0, 2])
-    assert delta(g, f, [], [1, 3]) == -2
-    q, comps = odd_components(g, f, [], [1, 3])
-    assert q == 2 and comps == [(0, 4), (2,)]
+    cert = evaluate_pair(g, f, [], [1, 3])
+    assert cert.delta == -2
+    assert cert.q == 2 and cert.odd_components == ((0, 4), (2,))
 
 
 def test_overlapping_sets_rejected():
     g = cycle_graph(4)
     f = degree_spec_from_terminals(g, [])
     with pytest.raises(ValueError, match="overlap"):
-        delta(g, f, [0], [0, 1])
+        evaluate_pair(g, f, [0], [0, 1])
 
 
 def test_deficiency_parity_matches_total():
@@ -65,7 +63,7 @@ def test_deficiency_parity_matches_total():
         f = degree_spec_from_terminals(g, w)
         s = tuple(v for v in range(8) if rng.random() < 0.25)
         t = tuple(v for v in range(8) if v not in set(s) and rng.random() < 0.25)
-        assert (delta(g, f, s, t) - f.total) % 2 == 0
+        assert (evaluate_pair(g, f, s, t).delta - f.total) % 2 == 0
 
 
 def test_pair_evaluator_matches_naive_reference():
@@ -82,17 +80,15 @@ def test_pair_evaluator_matches_naive_reference():
         s, t = random_pair(rng, n)
         want = naive_pair_evaluation(g, f, s, t)
         key = (g.edges, f.targets, s, t)
-        assert odd_components(g, f, s, t) == (len(want["odd"]), want["odd"]), key
-        assert delta(g, f, s, t) == want["delta"], key
         cert = evaluate_pair(g, f, s, t)
         assert cert == TutteCertificate(
             tuple(sorted(s)), tuple(sorted(t)), want["delta"], tuple(want["odd"])
         ), key
         cert.validate(g, f)
-        with pytest.raises(AssertionError, match="deficiency"):
+        with pytest.raises(ValueError, match="deficiency"):
             dataclasses.replace(cert, delta=cert.delta + 2).validate(g, f)
         if cert.odd_components:
-            with pytest.raises(AssertionError, match="components"):
+            with pytest.raises(ValueError, match="components"):
                 dataclasses.replace(cert, odd_components=cert.odd_components[1:]).validate(g, f)
         seen.add("general f" if i % 2 else "terminal f")
         seen.add("disconnected" if n and not is_connected(g) else "connected")
@@ -373,6 +369,15 @@ def test_witness_parse_errors():
         parse_certificate("S:\nT:\ndelta: 0\nodd: 0 1\n")
     with pytest.raises(GraphFormatError, match="no odd line"):
         parse_certificate("S:\nT: 1 3\ndelta: -2\ncomp: 0 4\ncomp: 2\n")
+    # int() reads "+0" as 0 and "0_3" as 3: every number is plain decimal digits
+    for bad in (
+        "S:\nT: 1 0_3\ndelta: -2\nodd: 0\n",
+        "S:\nT: +1 3\ndelta: -2\nodd: 0\n",
+        "S:\nT: 1 3\ndelta: +0\nodd: 0\n",
+        "S:\nT: 1 3\ndelta: -2\nodd: 1_0\n",
+    ):
+        with pytest.raises(GraphFormatError, match="malformed witness line"):
+            parse_certificate(bad)
 
 
 def test_evaluate_pair_packages_components():
