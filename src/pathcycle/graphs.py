@@ -11,7 +11,8 @@ safe to share between threads.  The text format is line oriented ASCII:
 A line whose first whitespace-separated field is ``c`` is a comment, here
 and in witness files.  A terminal-set file is a single line of
 whitespace-separated vertex indices (possibly empty).  Every number in these
-formats is written in plain decimal digits (see :func:`parse_int`).
+formats is written in canonical decimal: no sign but a ``-``, no leading
+zero, and no ``-0`` (see :func:`parse_int`).
 """
 
 from __future__ import annotations
@@ -135,10 +136,14 @@ def decode_ascii(text: str | bytes) -> str:
 
 
 def parse_int(field: str) -> int:
-    """The integer an ASCII ``field`` spells in decimal digits, with an
-    optional leading ``-``; ``ValueError`` otherwise.  ``int`` alone also
-    reads ``+1`` and ``1_0``, so two spellings of one file would parse alike."""
-    if field.isdigit() or field[:1] == "-" and field[1:].isdigit():
+    """The integer an ASCII ``field`` spells in canonical decimal: digits
+    with no leading zero, except ``0`` itself, and an optional leading ``-``
+    on a nonzero value; ``ValueError`` otherwise.  ``int`` alone also reads
+    ``+1``, ``1_0``, ``05`` and ``-0``, so two spellings of one file would
+    parse alike."""
+    if field.isdigit() and (field[0] != "0" or field == "0"):
+        return int(field)
+    if field[:1] == "-" and field[1:2] != "0" and field[1:].isdigit():
         return int(field)
     raise ValueError(f"{field!r} is not a decimal integer")
 

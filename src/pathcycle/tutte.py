@@ -188,7 +188,8 @@ def format_certificate(cert: TutteCertificate) -> str:
 
 def parse_certificate(text: str | bytes) -> TutteCertificate:
     """One each of the ``S``, ``T``, ``delta`` and ``odd`` lines, then a
-    ``comp`` line per odd component, as :func:`format_certificate` writes."""
+    ``comp`` line per odd component, as :func:`format_certificate` writes.
+    No vertex repeats within the ``S`` or ``T`` line."""
     text = decode_ascii(text)
     lines: dict[str, tuple[int, ...]] = {}
     comps: list[tuple[int, ...]] = []
@@ -207,6 +208,8 @@ def parse_certificate(text: str | bytes) -> TutteCertificate:
             raise GraphFormatError("malformed witness line", lineno) from None
         if label in ("delta", "odd") and len(values) != 1:
             raise GraphFormatError(f"the {label} line holds exactly one integer", lineno)
+        if label in ("S", "T") and len(set(values)) != len(values):
+            raise GraphFormatError(f"duplicate vertex index in the {label} line", lineno)
         if label == "comp":
             comps.append(values)
         else:

@@ -9,7 +9,7 @@ without trusting this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from .graphs import Graph, as_vertex_set
 
@@ -62,13 +62,18 @@ def check_regular(g: Graph, r: int) -> PropertyReport:
 
 
 def _max_flow_unit(
-    g: Graph, sources: tuple[int, ...], sinks: tuple[int, ...], limit: int
+    g: Graph, sources: tuple[int, ...], sinks: Container[int], limit: int
 ) -> tuple[int, set[int] | None]:
     """Max flow, one unit per undirected edge, from a source set to a
     disjoint sink set, each contracted, capped at ``limit`` augmenting paths.
 
-    The flow is the set ``sent`` of arc keys ``u * n + v``, one for each arc
-    carrying a unit from u to v: u -> v is residual iff its key is not sent.
+    ``sinks`` is any container that answers ``in``: a tuple of a few
+    vertices, or a set that the caller grows between calls.  It is only
+    queried, never copied, so a call costs what its searches touch plus one
+    parent list.  The flow is the set ``sent`` of arc keys ``u * n + v``,
+    one for each arc carrying a unit from u to v: u -> v is residual iff its
+    key is not sent.  Each breadth-first search resets only the parents it
+    set, so a search that meets a sink a few hops away stays that small.
     Returns ``(limit, None)`` once the flow reaches ``limit``; below it,
     ``(value, side)`` with ``side`` the vertices residually reachable from
     the sources.  That is the intersection of all minimum cut shores
@@ -76,13 +81,10 @@ def _max_flow_unit(
     does not depend on the order in which paths were augmented.
     """
     n, adj = g.n, g._adj
-    is_sink = bytearray(n)
-    for t in sinks:
-        is_sink[t] = 1
+    parent = [-1] * n  # -1 off the current search, and reset to it after each
     sent: set[int] = set()
     flow = 0
     while flow < limit:
-        parent = [-1] * n
         for s in sources:
             parent[s] = s
         queue = list(sources)
@@ -92,7 +94,7 @@ def _max_flow_unit(
             for v in adj[u]:
                 if parent[v] < 0 and base + v not in sent:
                     parent[v] = u
-                    if is_sink[v]:
+                    if v in sinks:
                         reached = v
                         break
                     queue.append(v)
@@ -109,6 +111,9 @@ def _max_flow_unit(
             else:
                 sent.add(u * n + v)
             v = u
+        parent[reached] = -1
+        for u in queue:
+            parent[u] = -1
         flow += 1
     return limit, None
 
@@ -135,17 +140,28 @@ def _least_cut(
 def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Global edge connectivity and one minimum edge cut.
 
-    lambda = min(delta, min over d in D - {d0} of max-flow(d0, d)) with unit
-    edge capacities, for any dominating set D with first vertex d0 (D. W.
-    Matula, "Determining edge connectivity in O(nm)", FOCS 1987).  If
-    lambda < delta, each shore X of a minimum cut has more than delta
+    lambda = min(delta, min over i >= 1 of max-flow(d_i, {d_0, ..., d_{i-1}}))
+    with unit edge capacities, for any dominating set D = (d_0, d_1, ...)
+    (D. W. Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
+    If lambda < delta, each shore X of a minimum cut has more than delta
     vertices (fewer would send |X|(delta - |X| + 1) >= delta edges out), so
     X holds a vertex without cut edges, and D dominates it from inside X.
-    D is a greedy maximal independent set in index order.  The cut starts
-    as the star of the lowest vertex of minimum degree and is replaced only
-    by a strictly smaller flow cut, so each flow stops at the current size.
-    Returns (0, ()) for disconnected or trivial graphs; for n >= 2 the value
-    is 0 exactly when the graph is disconnected.
+    So both shores meet D, and the first d_i on the side away from d_0 has
+    every earlier d in the sink.  An earlier dominating vertex is usually a
+    few hops from d_i, so each flow's searches stay local.  D is a greedy
+    maximal independent set in index order, and the sink grows by d_i after
+    each flow, each flow stopping at the least cut so far.
+
+    The cut starts as the star of the lowest vertex of minimum degree.  If
+    a flow ends below delta, the cut is the one the pairwise flows
+    max-flow(d_0, d_i) would find: the least shore of d_0 against d_j, for
+    the first j whose flow reaches lambda.  For i < j no lambda-cut
+    separates d_0 from d_i, so none separates two of d_0, ..., d_{j-1}
+    either, and the growing sink first reaches lambda at the same j.  One
+    more flow from d_0 to d_j, capped at lambda + 1, gives the intersection
+    of all minimum shores of d_0, whatever the cap.  Returns (0, ()) for
+    disconnected or trivial graphs; for n >= 2 the value is 0 exactly when
+    the graph is disconnected.
     """
     if g.n <= 1:
         return 0, ()
@@ -157,8 +173,21 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
             dominating.append(v)
             for u in g.neighbors(v):
                 blocked[u] = True
-    pairs = (((dominating[0],), (d,)) for d in dominating[1:])
-    return _least_cut(g, pairs, g.degree(v0), {v0})
+    best, far = g.degree(v0), None
+    sink = {dominating[0]}
+    for d in dominating[1:]:
+        if best == 0:
+            break
+        value, _ = _max_flow_unit(g, (d,), sink, best)
+        if value < best:
+            best, far = value, d
+        sink.add(d)
+    if far is None:
+        return _least_cut(g, (), best, {v0})
+    lam, cut = _least_cut(g, [((dominating[0],), (far,))], best + 1, None)
+    if lam != best:
+        raise AssertionError("the flow from d_0 to d_j must repeat the least growing-sink flow")
+    return lam, cut
 
 
 def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:

@@ -238,6 +238,21 @@ def test_certify_witness_replays_an_unsorted_pair(capsys, files, c5, w02):
     assert capsys.readouterr().out == "S: 0 2\nT:\ndelta: 2\nodd: 0\n"
 
 
+def test_certify_witness_rejects_a_repeated_vertex(capsys, files, c5, w02):
+    # T: 3 1 1 used to replay as T = {1, 3} and exit 1
+    argv = ["certify", "--graph", c5, "--terminals", w02, "--witness"]
+    for text, named in [
+        ("S:\nT: 3 1 1\ndelta: -2\nodd: 2\ncomp: 0 4\ncomp: 2\n",
+         "line 2: duplicate vertex index in the T line"),
+        ("c S repeats 0\nS: 0 2 0\nT:\ndelta: 2\nodd: 0\n",
+         "line 2: duplicate vertex index in the S line"),
+    ]:
+        assert run(argv + [files("dup.witness", text)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert named in captured.err, text
+
+
 def test_verify_failure_and_undecided_codes(capsys, files):
     p3 = files("p3.graph", serialize_graph(cycle_graph(3)))
     assert run(["verify", "--graph", p3, "--regular", "3"]) == 1

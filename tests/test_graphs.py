@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcycle.cli import _parse_list
 from pathcycle.errors import GraphFormatError
 from pathcycle.graphs import (
     INFINITY,
@@ -150,6 +151,30 @@ def test_parsers_take_plain_decimal_digits_only():
         parse_graph("p 3 1\ne -1 2\n")
     with pytest.raises(GraphFormatError, match="outside"):
         parse_terminals("-1 2", cycle_graph(4))
+
+
+def test_parsers_take_canonical_integers_only():
+    # int() also reads "05" and "-0", so two files would parse to one graph
+    for text in ("p 05 5\n", "p 2 01\ne 0 1\n", "p 2 1\ne 00 1\n", "p 2 1\ne -0 1\n",
+                 "p -05 0\n"):
+        with pytest.raises(GraphFormatError, match="non-integer"):
+            parse_graph(text)
+    for text in ("00", "01 3", "-0", "-05"):
+        with pytest.raises(GraphFormatError, match="non-integer terminal index"):
+            parse_terminals(text)
+    for text in ("S: 05\nT:\ndelta: 0\nodd: 0\n", "S:\nT: 1 03\ndelta: 0\nodd: 0\n",
+                 "S:\nT:\ndelta: -0\nodd: 0\n", "S:\nT:\ndelta: 0\nodd: 00\n"):
+        with pytest.raises(GraphFormatError, match="malformed witness line"):
+            parse_certificate(text)
+    for text in ("05", "1,00", "-0", "2, -05"):
+        with pytest.raises(ValueError, match="--s"):
+            _parse_list("--s", text)
+    # zero itself, and numbers that merely contain or end in zeros, still read
+    assert parse_graph("p 11 1\ne 0 10\n") == Graph(11, [(0, 10)])
+    assert parse_graph("p 0 0\n") == Graph(0)
+    assert parse_terminals("0 10 100") == (0, 10, 100)
+    assert parse_certificate("S: 0\nT: 10\ndelta: -10\nodd: 0\n").delta == -10
+    assert _parse_list("--t", "0, 20") == (0, 20)
 
 
 def test_serialize_canonical_order():

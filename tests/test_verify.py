@@ -157,6 +157,23 @@ def test_edge_connectivity_flow_count_stays_bounded(monkeypatch, gen, params, bo
     assert 0 < calls <= bound
 
 
+def test_edge_connectivity_stays_local_at_scale():
+    # each flow from d_i meets an earlier dominating vertex a few hops away;
+    # pairwise flows from d_0 took seconds at n = 6000
+    n = 20_000
+    ring = Graph(n, {tuple(sorted((v, (v + k) % n))) for v in range(n) for k in (1, 2, 3)})
+    assert edge_connectivity(ring) == (6, ((0, 1), (0, 2), (0, 3), (0, n - 3), (0, n - 2), (0, n - 1)))
+    rng = random.Random(41)
+    base = None
+    while base is None:
+        base = families._random_cubic(rng, 4000)
+    g = families._line_graph(base)
+    assert g.n == 6000
+    lam, cut = edge_connectivity(g)
+    assert lam == 4
+    _assert_minimum_cut(g, lam, cut)
+
+
 def _cut_size(g, side):
     return sum(1 for u, v in g.edges if (u in side) != (v in side))
 
@@ -202,6 +219,18 @@ def test_max_flow_unit_equals_a_brute_force_minimum_cut():
         limit = rng.randrange(1, 6)
         below += _assert_flow_is_a_minimum_cut(g, tuple(picked[:a]), tuple(picked[a:]), limit)
     assert 100 < below < 300
+
+
+def test_max_flow_unit_takes_any_sink_container():
+    # edge_connectivity grows a set of sinks; the tests pass tuples
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randrange(2, 12)
+        g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+        source, *sinks = rng.sample(range(n), rng.randrange(2, n + 1))
+        limit = rng.randrange(1, 7)
+        want = verify._max_flow_unit(g, (source,), tuple(sinks), limit)
+        assert verify._max_flow_unit(g, (source,), set(sinks), limit) == want
 
 
 # -- essential edge connectivity --------------------------------------------------
