@@ -43,15 +43,23 @@ def _read_terminals(path: str, g: Graph) -> tuple[int, ...]:
 
 def _parse_list(flag: str, text: str) -> tuple[int, ...]:
     """A comma-separated ASCII vertex list given to ``flag``, spaces allowed
-    around each index; a malformed one is a usage error naming the flag and
-    its value."""
+    around each index; a malformed one, or one that repeats a vertex, is a
+    usage error naming the flag and its value."""
     fields = text.split(",") if text.strip() else []
+    vertices = None
     if text.isascii():
         try:
-            return tuple(parse_int(x.strip()) for x in fields)
+            vertices = tuple(parse_int(x.strip()) for x in fields)
         except ValueError:
             pass
-    raise ValueError(f"{flag} {text.strip()!r} is not a comma-separated list of vertices")
+    if vertices is None:
+        raise ValueError(f"{flag} {text.strip()!r} is not a comma-separated list of vertices")
+    seen: set[int] = set()
+    for v in vertices:
+        if v in seen:
+            raise ValueError(f"{flag} {text.strip()!r} repeats vertex {v}")
+        seen.add(v)
+    return vertices
 
 
 def _cmd_solve(args) -> int:

@@ -9,7 +9,7 @@ without trusting this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable
+from typing import Container, Iterable, Iterator
 
 from .graphs import Graph, as_vertex_set
 
@@ -122,7 +122,9 @@ def _least_cut(
     g: Graph, pairs: Iterable[tuple[tuple[int, ...], ...]], best: int, side: set[int] | None
 ) -> tuple[int, tuple[Edge, ...] | None]:
     """The least cut: ``best`` with shore ``side``, or a unit flow between some
-    (sources, sinks) pair, each capped at the least so far; its size and edges."""
+    (sources, sinks) pair, each capped at the least so far; its size and edges.
+    Both connectivity checks run here: edge connectivity with Matula's growing
+    sink, and essential edge connectivity with pairs of edges."""
     for sources, sinks in pairs:
         if best == 0:
             break
@@ -135,6 +137,15 @@ def _least_cut(
     if len(cut) != best:
         raise AssertionError("residual cut size must equal the flow value")
     return best, cut
+
+
+def _growing_sink(dominating: list[int]) -> Iterator[tuple[tuple[int], set[int]]]:
+    """The pairs ``((d_i,), {d_0, ..., d_{i-1}})``; the sink set gains d_i
+    once the flow from d_i has run."""
+    sink = {dominating[0]}
+    for d in dominating[1:]:
+        yield (d,), sink
+        sink.add(d)
 
 
 def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
@@ -152,16 +163,12 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     maximal independent set in index order, and the sink grows by d_i after
     each flow, each flow stopping at the least cut so far.
 
-    The cut starts as the star of the lowest vertex of minimum degree.  If
-    a flow ends below delta, the cut is the one the pairwise flows
-    max-flow(d_0, d_i) would find: the least shore of d_0 against d_j, for
-    the first j whose flow reaches lambda.  For i < j no lambda-cut
-    separates d_0 from d_i, so none separates two of d_0, ..., d_{j-1}
-    either, and the growing sink first reaches lambda at the same j.  One
-    more flow from d_0 to d_j, capped at lambda + 1, gives the intersection
-    of all minimum shores of d_0, whatever the cap.  Returns (0, ()) for
-    disconnected or trivial graphs; for n >= 2 the value is 0 exactly when
-    the graph is disconnected.
+    The cut starts as the star of the lowest vertex of minimum degree.  A
+    flow that ends below delta, and below every earlier flow, replaces it
+    with its own least shore: the intersection of all minimum shores of d_i
+    against the earlier D.  So the cut comes from the first d_i whose flow
+    reaches lambda.  Returns (0, ()) for disconnected or trivial graphs;
+    for n >= 2 the value is 0 exactly when the graph is disconnected.
     """
     if g.n <= 1:
         return 0, ()
@@ -173,21 +180,7 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
             dominating.append(v)
             for u in g.neighbors(v):
                 blocked[u] = True
-    best, far = g.degree(v0), None
-    sink = {dominating[0]}
-    for d in dominating[1:]:
-        if best == 0:
-            break
-        value, _ = _max_flow_unit(g, (d,), sink, best)
-        if value < best:
-            best, far = value, d
-        sink.add(d)
-    if far is None:
-        return _least_cut(g, (), best, {v0})
-    lam, cut = _least_cut(g, [((dominating[0],), (far,))], best + 1, None)
-    if lam != best:
-        raise AssertionError("the flow from d_0 to d_j must repeat the least growing-sink flow")
-    return lam, cut
+    return _least_cut(g, _growing_sink(dominating), g.degree(v0), {v0})
 
 
 def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:

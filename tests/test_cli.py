@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from pathcycle.cli import build_parser, run
+from pathcycle.factor import degree_spec_from_terminals
 from pathcycle.families import gen_prop1_odd, write_instance
 from pathcycle.graphs import serialize_graph, serialize_terminals
+from pathcycle.tutte import evaluate_pair
 
 from .conftest import complete_graph, cycle_graph, star_graph
 
@@ -114,6 +116,29 @@ def test_malformed_vertex_list_names_its_flag(capsys, c5, w02, command, flag):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag} {bad!r} is not a comma-separated list of vertices\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "discharge"])
+@pytest.mark.parametrize("flag", ["--s", "--t"])
+def test_repeated_vertex_in_a_list_is_usage_error(capsys, c5, w02, command, flag):
+    # certify --s 1,1 --t 3 used to print "S: 1" and exit 0
+    for bad, vertex in (("1,1", 1), ("4, 1,4", 4)):
+        lists = {"--s": "", "--t": "3", flag: bad}
+        argv = [command, "--graph", c5, "--terminals", w02] + [
+            x for opt, text in lists.items() for x in (opt, text)
+        ]
+        if command == "discharge":
+            argv += ["--r", "2"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} {bad!r} repeats vertex {vertex}\n"
+
+
+def test_pair_api_takes_a_repeated_vertex_once():
+    g = cycle_graph(5)
+    f = degree_spec_from_terminals(g, (0, 2))
+    assert evaluate_pair(g, f, (1, 1), (3,)) == evaluate_pair(g, f, (1,), (3,))
 
 
 def test_certify_requires_a_mode(c5, w02):

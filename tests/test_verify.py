@@ -115,6 +115,16 @@ def test_edge_connectivity_witness_may_be_a_vertex_star():
     assert edge_connectivity(complete_graph(5)) == (4, ((0, 1), (0, 2), (0, 3), (0, 4)))
 
 
+def test_edge_connectivity_cut_is_the_least_shore_of_the_first_separated_d():
+    # two K6 joined through w = 6; the 3-cuts at w's two sides are nested
+    # around d_1 = 7, and the flow from 7 into {0} keeps 7's least shore
+    k6 = lambda a: list(itertools.combinations(range(a, a + 6), 2))
+    g = Graph(13, k6(0) + k6(7) + [(0, 6), (1, 6), (2, 6), (6, 7), (6, 8), (6, 9)])
+    lam, cut = edge_connectivity(g)
+    assert (lam, cut) == (3, ((6, 7), (6, 8), (6, 9)))
+    _assert_minimum_cut(g, lam, cut)
+
+
 #: computed with the residual-network flow, before flows were kept as the
 #: arcs that carry them: every cut witness must stay the same
 CONNECTIVITY_WITNESSES_SHA256 = "dc37443f9fb89d8bf73e7253ed5d4b33577d43d6ef0af83f9b39cf63893deb96"
