@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import families
@@ -46,20 +47,17 @@ def _parse_list(flag: str, text: str) -> tuple[int, ...]:
     around each index; a malformed one, or one that repeats a vertex, is a
     usage error naming the flag and its value."""
     fields = text.split(",") if text.strip() else []
-    vertices = None
     if text.isascii():
         try:
             vertices = tuple(parse_int(x.strip()) for x in fields)
         except ValueError:
             pass
-    if vertices is None:
-        raise ValueError(f"{flag} {text.strip()!r} is not a comma-separated list of vertices")
-    seen: set[int] = set()
-    for v in vertices:
-        if v in seen:
-            raise ValueError(f"{flag} {text.strip()!r} repeats vertex {v}")
-        seen.add(v)
-    return vertices
+        else:
+            repeated = [v for v, count in Counter(vertices).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{flag} {text.strip()!r} repeats vertex {repeated[0]}")
+            return vertices
+    raise ValueError(f"{flag} {text.strip()!r} is not a comma-separated list of vertices")
 
 
 def _cmd_solve(args) -> int:

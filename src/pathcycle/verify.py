@@ -140,8 +140,7 @@ def _least_cut(
 
 
 def _growing_sink(dominating: list[int]) -> Iterator[tuple[tuple[int], set[int]]]:
-    """The pairs ``((d_i,), {d_0, ..., d_{i-1}})``; the sink set gains d_i
-    once the flow from d_i has run."""
+    """The pairs ((d_i,), {d_0, ..., d_{i-1}}); d_i joins the sink after its flow."""
     sink = {dominating[0]}
     for d in dominating[1:]:
         yield (d,), sink
