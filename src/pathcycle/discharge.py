@@ -190,11 +190,13 @@ def discharge(
 
     ``r`` must be at least 4: the rule-amount ordering that the bounds rely
     on fails below that.  ``hypotheses`` may carry precomputed instance
-    checks (the edge-connectivity check is the expensive one); when absent
-    they are computed here.
+    checks (the edge-connectivity check is the expensive one), computed
+    for this ``r``; when absent they are computed here.
     """
     if r < 4:
         raise ValueError("discharge rules require r >= 4")
+    if hypotheses is not None and hypotheses.r != r:
+        raise ValueError(f"hypotheses were computed for r = {hypotheses.r}, not r = {r}")
     ws = as_vertex_set(g, w, "terminal set")
     f = degree_spec_from_terminals(g, ws)
     prof = _pair_profile(g, f, s, t)  # validates S and T

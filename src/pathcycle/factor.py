@@ -60,6 +60,12 @@ def degree_spec_from_terminals(g: Graph, w: Iterable[int]) -> DegreeSpec:
     return DegreeSpec(tuple(targets))
 
 
+def _check_spec_length(g: Graph, f: DegreeSpec) -> None:
+    """Raise ``ValueError`` unless f gives one target per vertex of g."""
+    if len(f) != g.n:
+        raise ValueError("degree spec length does not match vertex count")
+
+
 # -- gadget reduction ------------------------------------------------------
 
 
@@ -88,8 +94,7 @@ class GadgetGraph:
 
 def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
     """Construct the matching gadget; requires f(v) <= deg(v) everywhere."""
-    if len(f) != g.n:
-        raise ValueError("degree spec length does not match vertex count")
+    _check_spec_length(g, f)
     for v in range(g.n):
         if f[v] > g.degree(v):
             raise ValueError(f"f({v}) = {f[v]} exceeds degree {g.degree(v)}")
@@ -270,6 +275,7 @@ def decompose_system(factor: FFactor, w: Iterable[int]) -> PathCycleSystem:
 
 def find_f_factor(g: Graph, f: DegreeSpec) -> FFactor | None:
     """Some f-factor of g, or None when none exists (gadget + matching)."""
+    _check_spec_length(g, f)
     if f.total % 2 != 0:
         return None
     if any(f[v] > g.degree(v) for v in range(g.n)):
@@ -318,8 +324,7 @@ def brute_force_f_factor(
         raise UndecidedAtScaleError(
             f"{m} edges exceeds the brute-force bound {max_edges}"
         )
-    if len(f) != g.n:
-        raise ValueError("degree spec length does not match vertex count")
+    _check_spec_length(g, f)
     if f.total % 2 != 0 or any(f[v] > g.degree(v) for v in range(g.n)):
         return None
     edges = g.edges

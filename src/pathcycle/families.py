@@ -5,14 +5,16 @@ set W, an optional witness pair (S, T) whose deficiency certifies that no
 spanning path-cycle system with respect to W exists, a name map from
 construction labels to vertex indices, and the structural claims the
 instance is supposed to satisfy.  Claims are re-checkable through
-:func:`verify_claims`.  Generators assert the cheap ones (regularity, the
-terminal condition, witness deficiency) at construction time; the glued
+:func:`verify_claims`.  Every instance checks the cheap ones when it is
+built: its regularity, its terminal claim and its witness deficiency,
+with the same reports :func:`verify_claims` returns, and raises
+``AssertionError`` naming the instance and the claim otherwise.  The glued
 Prop. 2 families also check their blocks' degrees and essential edge
 connectivity, and ``prop2-general`` its second block's edge
 connectivity.  The whole instance's edge connectivity and star-freeness
-are left to callers.  Every terminal condition, nbhd2 included, is
-decided in :mod:`pathcycle.verify`; this module counts no terminals.
-Nothing is cached: every call builds and checks a fresh instance.
+are left to callers.  Every terminal condition is decided in
+:mod:`pathcycle.verify`; this module counts no terminals.  Nothing is
+cached: every call builds and checks a fresh instance.
 
 Families:
 
@@ -61,6 +63,10 @@ MAX_EDGES = 10**6
 
 @dataclass(frozen=True)
 class FamilyInstance:
+    """A generated instance and its claims.  Building one raises
+    ``AssertionError`` unless it is r-regular, meets its terminal claim and,
+    when it has a witness, the witness has the recorded deficiency."""
+
     name: str
     graph: Graph
     w: tuple[int, ...]
@@ -71,6 +77,31 @@ class FamilyInstance:
     edge_connectivity_exact: bool
     star_free: bool          # claimed K_{1,r}-free; False claims a star exists
     terminal_mode: str       # distance3 | nbhd1 | nbhd2
+
+    def __post_init__(self) -> None:
+        reports = [check_regular(self.graph, self.r), self._terminal_report()]
+        if self.witness is not None:
+            reports.append(self._witness_report())
+        for rep in reports:
+            if rep.holds is not True:
+                raise AssertionError(f"{self.name}: {rep.format_line()}")
+
+    def _terminal_report(self) -> PropertyReport:
+        if self.terminal_mode == "nbhd2":  # at most two, met with equality somewhere
+            return _terminal_load(self.graph, self.w)
+        return check_terminal_set(self.graph, self.w, self.terminal_mode)
+
+    def _witness_certificate(self) -> TutteCertificate:
+        s, t, _ = self.witness
+        f = degree_spec_from_terminals(self.graph, self.w)
+        return evaluate_pair(self.graph, f, s, t)
+
+    def _witness_report(self) -> PropertyReport:
+        delta, expected = self._witness_certificate().delta, self.witness[2]
+        return PropertyReport(
+            "witness-deficiency", delta == expected,
+            witness=delta, detail=f"expected {expected}",
+        )
 
     @property
     def claims(self) -> tuple[str, ...]:
@@ -120,31 +151,6 @@ def _check_size(n: int, r: int) -> None:
         )
 
 
-def _replayed_witness(inst: FamilyInstance) -> TutteCertificate:
-    """The witness pair evaluated on the instance; raises if its deficiency
-    is not the recorded one."""
-    s, t, expected = inst.witness
-    cert = evaluate_pair(inst.graph, degree_spec_from_terminals(inst.graph, inst.w), s, t)
-    if cert.delta != expected:
-        raise AssertionError(
-            f"{inst.name}: witness deficiency {cert.delta} != expected {expected}"
-        )
-    return cert
-
-
-def _assert_generated(inst: FamilyInstance) -> FamilyInstance:
-    """Construction-time sanity: regularity, terminal condition, witness value."""
-    for rep in (
-        check_regular(inst.graph, inst.r),
-        check_terminal_set(inst.graph, inst.w, inst.terminal_mode),
-    ):
-        if rep.holds is not True:
-            raise AssertionError(f"{inst.name}: {rep.detail}")
-    if inst.witness is not None:
-        _replayed_witness(inst)
-    return inst
-
-
 # -- families 1 and 2: hubs plus circulant blocks, edge connectivity < r -----
 
 
@@ -185,19 +191,17 @@ def _hub_family(
         edges.update(_normalize_edge(pos + d, x) for d, x in zip(deficient, hubs))
         w.append(pos + w_idx)
         pos += nv
-    return _assert_generated(
-        FamilyInstance(
-            name=name,
-            graph=Graph(pos, edges),
-            w=tuple(sorted(w)),
-            witness=(tuple(range(hub_count)), (), -2),
-            name_map=names,
-            r=r,
-            edge_connectivity_value=lam,
-            edge_connectivity_exact=True,
-            star_free=True,
-            terminal_mode="distance3",
-        )
+    return FamilyInstance(
+        name=name,
+        graph=Graph(pos, edges),
+        w=tuple(sorted(w)),
+        witness=(tuple(range(hub_count)), (), -2),
+        name_map=names,
+        r=r,
+        edge_connectivity_value=lam,
+        edge_connectivity_exact=True,
+        star_free=True,
+        terminal_mode="distance3",
     )
 
 
@@ -295,19 +299,17 @@ def gen_prop1_bipartite(r: int, n: int) -> FamilyInstance:
         raise ValueError(f"terminal pair has distance {d}, expected 4")
     names = {f"L_{i}": i for i in range(n)}
     names.update({f"R_{i}": n + i for i in range(n)})
-    return _assert_generated(
-        FamilyInstance(
-            name="prop1-bipartite",
-            graph=g,
-            w=w,
-            witness=None,
-            name_map=names,
-            r=r,
-            edge_connectivity_value=r,
-            edge_connectivity_exact=True,
-            star_free=False,
-            terminal_mode="distance3",
-        )
+    return FamilyInstance(
+        name="prop1-bipartite",
+        graph=g,
+        w=w,
+        witness=None,
+        name_map=names,
+        r=r,
+        edge_connectivity_value=r,
+        edge_connectivity_exact=True,
+        star_free=False,
+        terminal_mode="distance3",
     )
 
 
@@ -349,19 +351,17 @@ def gen_prop2_r4(n: int) -> FamilyInstance:
     names.update({f"y_{i}": y(i) for i in range(1, m3 + 1)})
     names.update({f"a_{j + 1}": a_start + j for j in range(2 * n)})
     names.update({f"b_{j + 1}": b_start + j for j in range(2 * n)})
-    return _assert_generated(
-        FamilyInstance(
-            name="prop2-r4",
-            graph=g,
-            w=w,
-            witness=(s, t, -2),
-            name_map=names,
-            r=4,
-            edge_connectivity_value=4,
-            edge_connectivity_exact=True,
-            star_free=True,
-            terminal_mode="nbhd2",
-        )
+    return FamilyInstance(
+        name="prop2-r4",
+        graph=g,
+        w=w,
+        witness=(s, t, -2),
+        name_map=names,
+        r=4,
+        edge_connectivity_value=4,
+        edge_connectivity_exact=True,
+        star_free=True,
+        terminal_mode="nbhd2",
     )
 
 
@@ -477,19 +477,17 @@ def _glued_family(
     names.update({f"Y0_{i}": y_start + i for i in range(y_count)})
     names.update({f"a_{j + 1}": a_start + j for j in range(2 * n_apex)})
     names.update({f"b_{j + 1}": b_start + j for j in range(2 * n_apex)})
-    return _assert_generated(
-        FamilyInstance(
-            name=family_name,
-            graph=g,
-            w=w,
-            witness=(s, t, -2),
-            name_map=names,
-            r=r,
-            edge_connectivity_value=r,
-            edge_connectivity_exact=True,
-            star_free=True,
-            terminal_mode="nbhd2",
-        )
+    return FamilyInstance(
+        name=family_name,
+        graph=g,
+        w=w,
+        witness=(s, t, -2),
+        name_map=names,
+        r=r,
+        edge_connectivity_value=r,
+        edge_connectivity_exact=True,
+        star_free=True,
+        terminal_mode="nbhd2",
     )
 
 
@@ -665,13 +663,10 @@ def random_valid_instance(r: int, size: int, seed: int) -> FamilyInstance:
         hyp = GraphHypotheses.compute(g, r)
         if not (hyp.regular and hyp.star_free and hyp.edge_connected):
             continue
-        w = _greedy_terminals(g, cap=max(2, g.n // 8 * 2))
-        if check_terminal_set(g, w, "nbhd1").holds is not True:
-            continue
         return FamilyInstance(
             name="random",
             graph=g,
-            w=w,
+            w=_greedy_terminals(g, cap=max(2, g.n // 8 * 2)),
             witness=None,
             name_map={},
             r=r,
@@ -713,21 +708,9 @@ def verify_claims(inst: FamilyInstance) -> list[PropertyReport]:
         )
     )
 
-    if inst.terminal_mode == "nbhd2":  # at most two, met with equality somewhere
-        reports.append(_terminal_load(g, inst.w))
-    else:
-        reports.append(check_terminal_set(g, inst.w, inst.terminal_mode))
-
+    reports.append(inst._terminal_report())
     if inst.witness is not None:
-        s, t, expected = inst.witness
-        f = degree_spec_from_terminals(g, inst.w)
-        cert = evaluate_pair(g, f, s, t)
-        reports.append(
-            PropertyReport(
-                "witness-deficiency", cert.delta == expected,
-                witness=cert.delta, detail=f"expected {expected}",
-            )
-        )
+        reports.append(inst._witness_report())
     return reports
 
 
@@ -747,7 +730,7 @@ def write_instance(inst: FamilyInstance, prefix: str | Path) -> list[Path]:
         ".terminals": serialize_terminals(inst.w),
         ".names": "\n".join(names) + "\n" if names else "",
         ".witness": None if inst.witness is None
-        else format_certificate(_replayed_witness(inst)),
+        else format_certificate(inst._witness_certificate()),
     }
     written = []
     for suffix, text in texts.items():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import GraphFormatError, UndecidedAtScaleError
-from .factor import DegreeSpec
+from .factor import DegreeSpec, _check_spec_length
 from .graphs import Graph, as_vertex_set, decode_ascii, parse_int
 
 
@@ -58,6 +58,7 @@ def _pair_profile(
     g: Graph, f: DegreeSpec, s: Iterable[int], t: Iterable[int]
 ) -> _PairProfile:
     """One traversal of G - (S u T): odd components, e(D, T), deg_{G-S}(T), delta."""
+    _check_spec_length(g, f)
     ss, ts = _disjoint_sets(g, s, t)
     adj = g._adj
     targets = f.targets
@@ -156,8 +157,7 @@ def search_certificate(g: Graph, f: DegreeSpec) -> TutteCertificate | None:
         raise UndecidedAtScaleError(
             f"{g.n} vertices exceeds the certificate search bound {MAX_SCAN_VERTICES}"
         )
-    if len(f) != g.n:
-        raise ValueError("degree spec length does not match vertex count")
+    _check_spec_length(g, f)
     from ._certkernel import least_violation  # numpy loads only for a scan
 
     least = least_violation(g, f)

@@ -312,7 +312,7 @@ def _terminals_seen(
 
 
 def check_terminal_set(g: Graph, w: Iterable[int], mode: str) -> PropertyReport:
-    """Check a terminal set under ``distance3``, ``nbhd1`` or ``nbhd2``.
+    """Check a terminal set under ``distance3`` or ``nbhd1``.
 
     Each mode needs |W| even and bounds how many terminals one
     neighbourhood holds, so one scan of N(W) decides it:
@@ -321,10 +321,10 @@ def check_terminal_set(g: Graph, w: Iterable[int], mode: str) -> PropertyReport:
       at distance >= 3; fails at the least pair seen together, at distance
       1 if adjacent, else 2.  It implies nbhd1, which the passing report
       notes.
-    * nbhd1 / nbhd2: at most one / two in each open N(v); fails at the
-      least v that sees more, with witness (v, its terminals).
+    * nbhd1: at most one in each open N(v); fails at the least v that sees
+      more, with witness (v, its terminals).
     """
-    if mode not in ("distance3", "nbhd1", "nbhd2"):
+    if mode not in ("distance3", "nbhd1"):
         raise ValueError(f"unknown mode {mode!r}")
     ws = as_vertex_set(g, w, "terminal set")
     name = f"terminals-{mode}"
@@ -340,11 +340,9 @@ def check_terminal_set(g: Graph, w: Iterable[int], mode: str) -> PropertyReport:
             name, False, witness=(a, b, d),
             detail=f"terminals {a} and {b} are at distance {d}",
         )
-    limit = 2 if mode == "nbhd2" else 1
-    over = [v for v, ts in more.items() if len(ts) > limit]
-    if not over:
+    if not more:
         return PropertyReport(name, True)
-    bad = min(over)
+    bad = min(more)
     return PropertyReport(
         name, False, witness=(bad, tuple(more[bad])),
         detail=f"vertex {bad} has neighbors {more[bad]} in W",

@@ -117,7 +117,6 @@ def _naive_final_charges(g, w, s, t, r, odd):
 
 def test_discharge_matches_naive_pair_evaluation():
     rng = random.Random(47)
-    hyp = GraphHypotheses(r=4, regular=False, star_free=False, edge_connected=False)
     seen = set()
     for i in range(300):
         n = rng.randrange(0, 16)
@@ -125,6 +124,7 @@ def test_discharge_matches_naive_pair_evaluation():
         w = rng.sample(range(n), 2 * rng.randrange(n // 2 + 1))
         s, t = random_pair(rng, n)
         r = 4 + i % 3
+        hyp = GraphHypotheses(r=r, regular=False, star_free=False, edge_connected=False)
         rep = discharge(g, w, s, t, r, hypotheses=hyp)
         f = degree_spec_from_terminals(g, w)
         want = naive_pair_evaluation(g, f, s, t)
@@ -204,6 +204,13 @@ def test_rejects_small_r_and_overlap():
         discharge(g, (), (), (), 3)
     with pytest.raises(ValueError, match="overlap"):
         discharge(g, (), (0,), (0,), 4)
+
+
+def test_rejects_hypotheses_computed_for_another_degree():
+    inst = random_valid_instance(5, 22, 42)
+    hyp = GraphHypotheses.compute(inst.graph, 4)
+    with pytest.raises(ValueError, match="computed for r = 4, not r = 5"):
+        discharge(inst.graph, inst.w, (), (), 5, hypotheses=hyp)
 
 
 def test_report_format_mentions_all_sections():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import time
 
@@ -280,6 +281,22 @@ def test_verify_claims_on_cheap_families():
         assert all(rep.holds for rep in reports), [
             rep.format_line() for rep in reports if not rep.holds
         ]
+
+
+@pytest.mark.parametrize(
+    "claim, broken",
+    [
+        ("witness-deficiency", lambda inst: {"witness": inst.witness[:2] + (-4,)}),
+        ("regular", lambda inst: {"r": 5}),
+        ("terminals-distance3", lambda inst: {"terminal_mode": "distance3"}),
+        # two terminals at distance >= 3: the largest load is 1, not 2
+        ("terminals-nbhd2", lambda inst: {"w": families._greedy_terminals(inst.graph, cap=2)}),
+    ],
+)
+def test_an_instance_refuses_a_broken_cheap_claim(claim, broken):
+    inst = gen_prop2_r4(6)
+    with pytest.raises(AssertionError, match=f"^prop2-r4: {claim}: FAIL"):
+        dataclasses.replace(inst, **broken(inst))
 
 
 def test_write_instance_roundtrip(tmp_path):

@@ -7,7 +7,13 @@ import pytest
 from pathcycle import _certkernel
 from pathcycle._certkernel import least_violation
 from pathcycle.errors import GraphFormatError, UndecidedAtScaleError
-from pathcycle.factor import DegreeSpec, brute_force_f_factor, degree_spec_from_terminals
+from pathcycle.factor import (
+    DegreeSpec,
+    brute_force_f_factor,
+    build_gadget,
+    degree_spec_from_terminals,
+    find_f_factor,
+)
 from pathcycle.graphs import Graph
 from pathcycle.tutte import (
     TutteCertificate,
@@ -24,6 +30,7 @@ from .conftest import (
     is_connected,
     naive_least_violation,
     naive_pair_evaluation,
+    path_graph,
     random_connected_graph,
     random_graph,
     random_pair,
@@ -102,6 +109,25 @@ def test_pair_evaluator_matches_naive_reference():
         "general f", "terminal f", "disconnected", "connected", "S empty", "S",
         "T empty", "T", "T adjacent", "several odd",
     }
+
+
+ENTRY_POINTS = {
+    "evaluate_pair": lambda g, f: evaluate_pair(g, f, (), ()),
+    "validate": lambda g, f: TutteCertificate((), (), 0, ()).validate(g, f),
+    "find_f_factor": find_f_factor,
+    "build_gadget": build_gadget,
+    "brute_force_f_factor": brute_force_f_factor,
+    "search_certificate": search_certificate,
+}
+
+
+@pytest.mark.parametrize("targets", [(1, 2, 1, 2), (1,)], ids=["long", "short"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_a_spec_of_the_wrong_length(entry, targets):
+    # a long spec once evaluated to delta 0, a short one raised IndexError,
+    # and find_f_factor answered "no factor" to a short one
+    with pytest.raises(ValueError, match="degree spec length does not match vertex count"):
+        ENTRY_POINTS[entry](path_graph(3), DegreeSpec(targets))
 
 
 # -- certificate search ------------------------------------------------------------

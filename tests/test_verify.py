@@ -478,16 +478,16 @@ def test_nbhd1_witness_matches_full_scan():
 
 
 def test_terminal_modes_match_naive_scans():
-    # distance3 against all-pairs distances; nbhd1 and nbhd2 against a scan
-    # of every vertex with a neighbour limit of one and two
+    # distance3 against all-pairs distances; nbhd1 against a scan of every
+    # vertex with a neighbour limit of one
     rng = random.Random(67)
-    outcomes = {mode: set() for mode in ("distance3", "nbhd1", "nbhd2")}
+    outcomes = {mode: set() for mode in ("distance3", "nbhd1")}
     for _ in range(400):
         n = rng.randrange(0, 16)
         g = random_graph(rng, n, rng.uniform(0.05, 0.5))
         k = rng.randrange(n + 1)
         w = rng.sample(range(n), k if rng.random() < 0.1 else k - k % 2)
-        for mode, limit in (("nbhd1", 1), ("nbhd2", 2), ("distance3", None)):
+        for mode, limit in (("nbhd1", 1), ("distance3", None)):
             rep = check_terminal_set(g, w, mode)
             if len(w) % 2:
                 want, detail = len(w), "terminal set has odd size"
@@ -504,6 +504,26 @@ def test_terminal_modes_match_naive_scans():
             assert (rep.holds, rep.witness, rep.detail) == (holds, want, detail), (g.edges, w, mode)
             outcomes[mode].add(holds)
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+def test_terminal_load_matches_naive_scan():
+    # the Prop. 2 claim: the largest |N(v) n W| is exactly 2, witnessed by
+    # the least v at the maximum with its count
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randrange(0, 16)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        w = rng.sample(range(n), rng.randrange(n + 1))
+        wset = set(w)
+        loads = [sum(u in wset for u in g.neighbors(v)) for v in range(n)]
+        top = max(loads, default=0)
+        rep = verify._terminal_load(g, w)
+        assert rep.holds is (top == 2), (g.edges, w)
+        assert rep.witness == ((loads.index(top), top) if n else None), (g.edges, w)
+        assert rep.detail == f"max |N(v) n W| = {top}, claimed exactly 2 at the maximum"
+        outcomes.add(min(top, 3))
+    assert outcomes == {0, 1, 2, 3}, outcomes
 
 
 # -- path-system criterion -----------------------------------------------------------
