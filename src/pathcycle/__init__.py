@@ -66,7 +66,6 @@ from .verify import (
     edge_connectivity,
     essential_edge_connectivity_at_least,
     find_induced_star,
-    path_system_criterion,
 )
 
 __version__ = "0.1.0"
@@ -113,7 +112,6 @@ __all__ = [
     "parse_certificate",
     "parse_graph",
     "parse_terminals",
-    "path_system_criterion",
     "random_valid_instance",
     "rule_constants",
     "search_certificate",

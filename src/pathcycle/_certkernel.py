@@ -24,10 +24,6 @@ chunk of R-sets at once, and the scan stops at the first layer that holds a
 violation.  The scan reads only the graph and the degree spec and shares no
 code with :func:`pathcycle.tutte.evaluate_pair` or the solver, so it stays an
 independent route to the answer.
-
-:func:`component_counts` reads ``rep`` alone, for
-:func:`pathcycle.verify.path_system_criterion`: (n + 1) 2^n bytes, about
-5 MB at the criterion's bound of 18 vertices.
 """
 
 from __future__ import annotations
@@ -60,19 +56,18 @@ def _set_tables(g, f, n: int, ids):
 def _component_labels(g, n: int):
     """``rep[u, R]``: the lowest vertex of u's component in G - R.
 
-    Entries of u in R, and the padding row n, hold n.  Columns are filled
-    for the removal sets whose lowest vertex outside R is v, for v from n-1
-    down; viewing the columns as blocks of 2^(v+1), these sit at offset
-    2^v - 1 of each block, and R + v sits at the block's last offset and is
-    already done.  Putting v back into G - (R + v) merges v with the
-    components of its neighbours.
+    Entries of u in R hold n.  Columns are filled for the removal sets whose
+    lowest vertex outside R is v, for v from n-1 down; viewing the columns
+    as blocks of 2^(v+1), these sit at offset 2^v - 1 of each block, and
+    R + v sits at the block's last offset and is already done.  Putting v
+    back into G - (R + v) merges v with the components of its neighbours.
     """
-    rep = np.full((n + 1, 1 << n), n, np.uint8)
+    rep = np.full((n, 1 << n), n, np.uint8)
     one = np.min_scalar_type(1 << n).type(1)
     full = (1 << n) - 1
     cols = max(1, _CHUNK // (n + 1))
     for v in reversed(range(n)):
-        blocks = rep.reshape(n + 1, -1, 2 << v)
+        blocks = rep.reshape(n, -1, 2 << v)
         nbrs = list(g.neighbors(v))
         for lo in range(0, blocks.shape[1], cols):
             base = blocks[:, lo:lo + cols, -1]
@@ -89,20 +84,6 @@ def _component_labels(g, n: int):
     return rep
 
 
-def component_counts(g):
-    """``counts[R]``: the number of components of G - R, for every set R < 2^n.
-
-    A component is counted at its lowest vertex u, the one u outside R with
-    ``rep[u, R] == u``; the rows of u in R hold n and never match.
-    """
-    n = g.n
-    rep = _component_labels(g, n)
-    counts = np.zeros(1 << n, np.uint8)
-    for u in range(n):
-        counts += rep[u] == u
-    return counts
-
-
 class _Scan:
     """The tables of one scan of ``g`` under ``f``, shared by its chunks."""
 
@@ -117,7 +98,7 @@ class _Scan:
         self.base, self.by_t, self.inner = _set_tables(g, f, n, self.ids)
         # bits[u, R]: u's label as a mask, 0 for u in R (label n)
         one = np.min_scalar_type(1 << n).type(1)
-        bits = (one << _component_labels(g, n)[:n]) & ((1 << n) - 1)
+        bits = (one << _component_labels(g, n)) & ((1 << n) - 1)
         # x0[R] holds the components of G - R with odd f(D) and par[y, R]
         # those joined to y by an odd number of edges
         self.x0 = np.zeros(1 << n, one.dtype)

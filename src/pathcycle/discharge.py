@@ -259,7 +259,7 @@ def discharge(
     identity_lhs = Fraction(init_total, scale)
     identity_rhs = f.subset_sum(ss) + prof.deg_gs_t - e_t_u
 
-    nbhd1 = check_terminal_set(g, ws, "nbhd1").holds is True
+    nbhd1 = check_terminal_set(g, ws, "nbhd1").holds
 
     def claim(name, holds, first, needed: dict[str, bool]) -> ClaimCheck:
         missing = tuple(k for k, ok in needed.items() if not ok)

@@ -83,7 +83,7 @@ class FamilyInstance:
         if self.witness is not None:
             reports.append(self._witness_report())
         for rep in reports:
-            if rep.holds is not True:
+            if not rep.holds:
                 raise AssertionError(f"{self.name}: {rep.format_line()}")
 
     def _terminal_report(self) -> PropertyReport:

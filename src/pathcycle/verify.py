@@ -15,26 +15,18 @@ from .graphs import Graph, as_vertex_set
 
 Edge = tuple[int, int]
 
-#: Largest vertex count :func:`path_system_criterion` scans all 2^n subsets of.
-MAX_CRITERION_VERTICES = 18
-
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of a structural check.
-
-    ``holds`` is ``True``/``False`` for decided checks and ``None`` when the
-    input exceeded the check's exhaustion bound ("undecided at this scale").
-    """
+    """Outcome of a structural check: ``holds`` says whether the property
+    holds, and a failure may carry a ``witness`` and a ``detail``."""
 
     name: str
-    holds: bool | None
+    holds: bool
     witness: object = None
     detail: str = ""
 
     def format_line(self) -> str:
-        if self.holds is None:
-            return f"{self.name}: UNDECIDED {self.detail}".rstrip()
         if self.holds:
             return f"{self.name}: PASS"
         parts = [f"{self.name}: FAIL"]
@@ -281,7 +273,7 @@ class GraphHypotheses:
         lam, _ = edge_connectivity(g)
         return cls(
             r=r,
-            regular=check_regular(g, r).holds is True,
+            regular=check_regular(g, r).holds,
             star_free=find_induced_star(g, r) is None,
             edge_connected=lam >= r,
         )
@@ -361,36 +353,4 @@ def _terminal_load(g: Graph, w: Iterable[int]) -> PropertyReport:
         "terminals-nbhd2", top == 2,
         witness=(least, top) if g.n else None,
         detail=f"max |N(v) n W| = {top}, claimed exactly 2 at the maximum",
-    )
-
-
-# -- path-system criterion ------------------------------------------------
-
-
-def path_system_criterion(g: Graph) -> PropertyReport:
-    """Check that removing any proper vertex subset S leaves at most |S|+1
-    components (the all-terminal-sets path-system criterion), counted from
-    the certificate scan's component labels; the witness is the failing S of
-    least bitmask.  Undecided above :data:`MAX_CRITERION_VERTICES` vertices."""
-    name = "path-system-criterion"
-    n = g.n
-    if n > MAX_CRITERION_VERTICES:
-        return PropertyReport(
-            name, None, detail=f"{n} vertices exceeds bound {MAX_CRITERION_VERTICES}"
-        )
-    import numpy as np
-
-    from ._certkernel import component_counts  # numpy loads only below the bound
-
-    counts = component_counts(g)
-    # the full set leaves no component, so it never fails
-    bad = np.flatnonzero(counts > np.bitwise_count(np.arange(1 << n)) + 1)
-    if len(bad) == 0:
-        return PropertyReport(name, True)
-    s_mask = int(bad[0])
-    s = tuple(v for v in range(n) if s_mask >> v & 1)
-    comps = int(counts[s_mask])
-    return PropertyReport(
-        name, False, witness=(s, comps),
-        detail=f"removing S={list(s)} leaves {comps} components > |S|+1={len(s) + 1}",
     )

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from pathcycle import cli
 from pathcycle.cli import build_parser, run
-from pathcycle.factor import degree_spec_from_terminals
+from pathcycle.factor import PathCycleSystem, degree_spec_from_terminals
 from pathcycle.families import gen_prop1_odd, write_instance
 from pathcycle.graphs import serialize_graph, serialize_terminals
 from pathcycle.tutte import evaluate_pair
@@ -62,6 +63,14 @@ def test_oracle_agrees_with_solve(capsys, c5, c6, w02, empty_w):
     assert run(["oracle", "--graph", c6, "--terminals", empty_w]) == 0
     out = capsys.readouterr().out
     assert "INFEASIBLE" in out and "cycle: 0 1 2 3 4 5" in out
+
+
+def test_oracle_validates_its_system_before_printing(monkeypatch, capsys, c6, empty_w):
+    # a decomposition that drops the cycle no longer covers the graph
+    monkeypatch.setattr(cli, "decompose_system", lambda factor, w: PathCycleSystem((), ()))
+    with pytest.raises(AssertionError, match="do not partition"):
+        run(["oracle", "--graph", c6, "--terminals", empty_w])
+    assert capsys.readouterr().out == ""
 
 
 def test_oracle_bound_exceeded(files, empty_w):
@@ -278,12 +287,9 @@ def test_certify_witness_rejects_a_repeated_vertex(capsys, files, c5, w02):
         assert named in captured.err, text
 
 
-def test_verify_failure_and_undecided_codes(capsys, files):
+def test_verify_failure_code(capsys, files):
     p3 = files("p3.graph", serialize_graph(cycle_graph(3)))
     assert run(["verify", "--graph", p3, "--regular", "3"]) == 1
-    inst = gen_prop1_odd(5, 6)
-    big = files("big.graph", serialize_graph(inst.graph))
-    assert run(["verify", "--graph", big, "--path-system-criterion"]) == 3
 
 
 def test_verify_large_star_is_found_without_deep_recursion(capsys, files):
@@ -444,14 +450,14 @@ def test_vertex_count_above_cap_is_usage_error(files, empty_w, capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded(files, c6, empty_w):
-    # numpy is loaded only by the exhaustive certificate scan and by the
-    # path-system criterion below its vertex bound
+    # numpy is loaded only by the exhaustive certificate scan, and c20 is
+    # refused before the scan starts
     c20 = files("c20.graph", serialize_graph(cycle_graph(20)))
     calls = [
         ["verify", "--graph", c6, "--regular", "2", "--edge-connectivity", "2",
          "--star-free", "3"],
         ["solve", "--graph", c6, "--terminals", empty_w],
-        ["verify", "--graph", c20, "--path-system-criterion"],
+        ["certify", "--graph", c20, "--terminals", empty_w, "--exhaustive"],
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (

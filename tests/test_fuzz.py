@@ -90,8 +90,6 @@ def cli_cases(draw):
         verify += ["--terminals", "@terminals"]
         if not draw(rarely):
             verify += ["--mode", draw(st.sampled_from(["distance3", "nbhd1"]))]
-    if draw(st.booleans()):
-        verify.append("--path-system-criterion")
     argv = draw(st.sampled_from([
         ["solve", "--graph", "@graph", "--terminals", "@terminals"],
         ["oracle", "--graph", "@graph", "--terminals", "@terminals"],
@@ -119,4 +117,5 @@ def test_cli_answers_every_small_input_with_an_exit_code(case):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-    assert code in (0, 1, 2, 3), (argv, code)
+    # only the oracle can be undecided: no case runs certify --exhaustive
+    assert code in ((0, 1, 2, 3) if argv[0] == "oracle" else (0, 1, 2)), (argv, code)

@@ -14,7 +14,6 @@ from pathcycle.verify import (
     edge_connectivity,
     essential_edge_connectivity_at_least,
     find_induced_star,
-    path_system_criterion,
 )
 
 from .conftest import (
@@ -524,54 +523,3 @@ def test_terminal_load_matches_naive_scan():
         assert rep.detail == f"max |N(v) n W| = {top}, claimed exactly 2 at the maximum"
         outcomes.add(min(top, 3))
     assert outcomes == {0, 1, 2, 3}, outcomes
-
-
-# -- path-system criterion -----------------------------------------------------------
-
-
-def test_criterion_holds_on_cycles():
-    for n in (3, 5, 8):
-        assert path_system_criterion(cycle_graph(n)).holds
-
-
-def test_criterion_fails_on_branching_tree():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    rep = path_system_criterion(g)
-    assert rep.holds is False
-    s, comps = rep.witness
-    assert s == (0,) and comps == 3
-
-
-def test_criterion_fails_on_star_center():
-    rep = path_system_criterion(star_graph(3))
-    assert rep.holds is False and rep.witness[0] == (0,)
-
-
-def test_criterion_undecided_beyond_bound():
-    assert path_system_criterion(cycle_graph(20)).holds is None
-
-
-def _naive_criterion(g: Graph):
-    """``(holds, witness, detail)`` from a walk over the proper vertex sets
-    in ascending mask order, counting components by traversal."""
-    for mask in range((1 << g.n) - 1):
-        s = tuple(v for v in range(g.n) if mask >> v & 1)
-        comps = len(components(g, s))
-        if comps > len(s) + 1:
-            detail = f"removing S={list(s)} leaves {comps} components > |S|+1={len(s) + 1}"
-            return False, (s, comps), detail
-    return True, None, ""
-
-
-def test_criterion_matches_naive_oracle_on_random_graphs():
-    rng = random.Random(10)
-    outcomes = set()
-    for n in range(11):
-        for _ in range(20):
-            g = random_graph(rng, n, rng.uniform(0.05, 0.9))
-            rep = path_system_criterion(g)
-            want = _naive_criterion(g)
-            assert (rep.holds, rep.witness, rep.detail) == want, g.edges
-            assert repr(rep.witness) == repr(want[1]), g.edges  # plain ints, not numpy's
-            outcomes.add(rep.holds)
-    assert outcomes == {True, False}
