@@ -139,8 +139,8 @@ def evaluate_pair(
 # -- exhaustive search ------------------------------------------------------
 
 #: Largest vertex count :func:`search_certificate` scans.  The scan's time
-#: grows as 3^n and its tables as 2^n sets of about n + 10 bytes: under 1 MB
-#: at 14 vertices, tens of GB at 30.
+#: grows as 3^n and its tables as 2^n sets of about 2n + 12 bytes, with about
+#: 4n more while they are built: under 2 MB at 14 vertices, over 70 GB at 30.
 MAX_SCAN_VERTICES = 14
 
 

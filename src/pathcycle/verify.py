@@ -54,18 +54,20 @@ def check_regular(g: Graph, r: int) -> PropertyReport:
 
 
 def _max_flow_unit(
-    g: Graph, sources: tuple[int, ...], sinks: Container[int], limit: int
+    g: Graph, sources: tuple[int, ...], sinks: Container[int], limit: int, parent: list[int]
 ) -> tuple[int, set[int] | None]:
     """Max flow, one unit per undirected edge, from a source set to a
     disjoint sink set, each contracted, capped at ``limit`` augmenting paths.
 
     ``sinks`` is any container that answers ``in``: a tuple of a few
     vertices, or a set that the caller grows between calls.  It is only
-    queried, never copied, so a call costs what its searches touch plus one
-    parent list.  The flow is the set ``sent`` of arc keys ``u * n + v``,
-    one for each arc carrying a unit from u to v: u -> v is residual iff its
-    key is not sent.  Each breadth-first search resets only the parents it
-    set, so a search that meets a sink a few hops away stays that small.
+    queried, never copied, so a call costs what its searches touch.  The
+    flow is the set ``sent`` of arc keys ``u * n + v``, one for each arc
+    carrying a unit from u to v: u -> v is residual iff its key is not sent.
+    ``parent`` is the caller's list of n entries, all -1; each breadth-first
+    search, the last one too, resets only the parents it set, so a search
+    that meets a sink a few hops away stays that small and the list is all
+    -1 again on return.
     Returns ``(limit, None)`` once the flow reaches ``limit``; below it,
     ``(value, side)`` with ``side`` the vertices residually reachable from
     the sources.  That is the intersection of all minimum cut shores
@@ -73,7 +75,6 @@ def _max_flow_unit(
     does not depend on the order in which paths were augmented.
     """
     n, adj = g.n, g._adj
-    parent = [-1] * n  # -1 off the current search, and reset to it after each
     sent: set[int] = set()
     flow = 0
     while flow < limit:
@@ -93,6 +94,8 @@ def _max_flow_unit(
             if reached >= 0:
                 break
         if reached < 0:
+            for u in queue:
+                parent[u] = -1
             return flow, set(queue)
         v = reached
         while parent[v] != v:
@@ -117,10 +120,11 @@ def _least_cut(
     (sources, sinks) pair, each capped at the least so far; its size and edges.
     Both connectivity checks run here: edge connectivity with Matula's growing
     sink, and essential edge connectivity with pairs of edges."""
+    parent = [-1] * g.n
     for sources, sinks in pairs:
         if best == 0:
             break
-        value, found = _max_flow_unit(g, sources, sinks, best)
+        value, found = _max_flow_unit(g, sources, sinks, best, parent)
         if value < best:
             best, side = value, found
     if side is None:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from pathcycle import _certkernel
@@ -246,8 +247,14 @@ def test_scan_matches_naive_on_disconnected_graphs(monkeypatch, chunk):
     assert seen == {"violation", "none", "isolated", "three or more components"}
 
 
+def _members(n, mask):
+    return tuple(v for v in range(n) if mask >> v & 1)
+
+
 @pytest.mark.parametrize("n", [12, 14])
 def test_scan_chunks_bound_their_working_set(n):
+    # the chunks hold exactly the R-sets that the lower bound on delta keeps,
+    # and no split of a skipped R-set violates
     rng = random.Random(n)
     g = random_connected_graph(rng, n, 0.3)
     scan = _certkernel._Scan(g, degree_spec_from_terminals(g, []))
@@ -259,7 +266,83 @@ def test_scan_chunks_bound_their_working_set(n):
         # also says that every R-set of the chunk has size k
         assert pos.tolist() == [[v for v in range(n) if r >> v & 1] for r in rs.tolist()]
         covered += rs.tolist()
-    assert sorted(covered) == list(range(1 << n))
+    keep = scan.keep.tolist()
+    assert sorted(covered) == [r for r in range(1 << n) if keep[r]]
+    skipped = [r for r in range(1 << n) if not keep[r]]
+    assert skipped and covered
+    for k in range(n + 1):
+        layer = [r for r in skipped if r.bit_count() == k]
+        rows = max(1, _certkernel._CHUNK >> k)
+        for lo in range(0, len(layer), rows):
+            rs = scan.ids[layer[lo:lo + rows]]
+            pos = np.array([_members(n, r) for r in rs.tolist()], np.intp).reshape(len(rs), k)
+            assert not list(scan.violations(rs, pos, k))
+
+
+def _splits(n, r):
+    """Every (S, T) with S u T = R, as sorted tuples."""
+    s = r
+    while True:
+        yield _members(n, s), _members(n, r ^ s)
+        if not s:
+            return
+        s = (s - 1) & r
+
+
+def _small_scan_inputs(rng, count, top):
+    """``count`` (g, f) with n <= top: connected, G(n, p) and split into parts,
+    under terminal specs or general ones with f(v) <= deg(v) + 2, which the
+    scan does not clip, so its bound is a bound on this f's deficiency."""
+    for i in range(count):
+        n = 1 + i % top
+        shape = i // top % 3
+        if shape == 0:
+            g = random_connected_graph(rng, n, rng.uniform(0.3, 0.9))
+        elif shape == 1:
+            g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        else:
+            cut = rng.randrange(n)
+            g = Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if (u < cut) == (v < cut) and rng.random() < 0.6
+            ])
+        if i // (3 * top) % 2:
+            f = DegreeSpec(tuple(rng.randrange(g.degree(v) + 3) for v in range(n)))
+        else:
+            f = degree_spec_from_terminals(g, rng.sample(range(n), 2 * rng.randrange(n // 2 + 1)))
+        yield g, f
+
+
+def test_scan_bound_is_sound():
+    # every split of a skipped R-set has delta >= 0, by the pair evaluator
+    rng = random.Random(59)
+    seen = set()
+    for g, f in _small_scan_inputs(rng, 420, 7):
+        keep = _certkernel._Scan(g, f).keep.tolist()
+        for r in range(1 << g.n):
+            if keep[r]:
+                seen.add("kept")
+                continue
+            seen.add("skipped")
+            for s, t in _splits(g.n, r):
+                assert evaluate_pair(g, f, s, t).delta >= 0, (g.edges, f.targets, s, t)
+        seen.add("f(V) odd" if f.total % 2 else "f(V) even")
+        if g.n and not is_connected(g):
+            seen.add("disconnected")
+    assert seen == {"kept", "skipped", "f(V) odd", "f(V) even", "disconnected"}
+
+
+def test_deficiency_parity():
+    # delta(S, T) = f(V) (mod 2) on every pair, which lets the scan skip an
+    # R-set whose bound is -1 when f(V) is even
+    rng = random.Random(61)
+    totals = set()
+    for g, f in _small_scan_inputs(rng, 120, 6):
+        totals.add(f.total % 2)
+        for r in range(1 << g.n):
+            for s, t in _splits(g.n, r):
+                assert (evaluate_pair(g, f, s, t).delta - f.total) % 2 == 0
+    assert totals == {0, 1}
 
 
 def _planted_feasible(rng, n):

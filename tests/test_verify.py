@@ -199,8 +199,10 @@ def _assert_flow_is_a_minimum_cut(g, sources, sinks, limit):
         for extra in itertools.combinations(free, r)
     ]
     least = min(_cut_size(g, x) for x in shores)
-    value, side = verify._max_flow_unit(g, sources, sinks, limit)
+    parent = [-1] * g.n
+    value, side = verify._max_flow_unit(g, sources, sinks, limit, parent)
     case = (g.n, g.edges, sources, sinks, limit)
+    assert parent == [-1] * g.n, case  # every search, the last one too, resets its parents
     assert value == min(limit, least), case
     if value == limit:
         assert side is None, case
@@ -238,8 +240,9 @@ def test_max_flow_unit_takes_any_sink_container():
         g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
         source, *sinks = rng.sample(range(n), rng.randrange(2, n + 1))
         limit = rng.randrange(1, 7)
-        want = verify._max_flow_unit(g, (source,), tuple(sinks), limit)
-        assert verify._max_flow_unit(g, (source,), set(sinks), limit) == want
+        parent = [-1] * n
+        want = verify._max_flow_unit(g, (source,), tuple(sinks), limit, parent)
+        assert verify._max_flow_unit(g, (source,), set(sinks), limit, parent) == want
 
 
 # -- essential edge connectivity --------------------------------------------------
