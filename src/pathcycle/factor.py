@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import UndecidedAtScaleError
 from .graphs import Graph, as_vertex_set
-from .matching import Matching, maximum_matching
+from .matching import _maximum_matching_mates
 
 Edge = tuple[int, int]
 
@@ -71,19 +71,29 @@ def _check_spec_length(g: Graph, f: DegreeSpec) -> None:
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """Perfect-matching gadget for an f-factor instance.
+    """Perfect-matching gadget for an f-factor instance, as adjacency lists.
 
     Host vertex v owns the gadget vertices ``start[v] .. start[v+1]-1``:
     first its deg(v) ports, one per neighbour in ascending order, then its
     deg(v) - f(v) cores.  ``port_pairs[j]`` gives the two port vertices of
-    original edge ``host.edges[j]``.
+    original edge ``host.edges[j]``.  ``adj[x]`` lists the neighbours of
+    gadget vertex x in ascending order: a port's are its partner port and
+    its vertex's cores, a core's are its vertex's ports.  :attr:`graph`
+    builds the gadget as a :class:`Graph` on request; the solver reads
+    ``adj`` and never builds it.
     """
 
     host: Graph
     spec: DegreeSpec
-    graph: Graph
     start: tuple[int, ...]
     port_pairs: tuple[tuple[int, int], ...]
+    adj: tuple[tuple[int, ...], ...]
+
+    @property
+    def graph(self) -> Graph:
+        """The gadget as a :class:`Graph`, built anew on each access."""
+        edges = [(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v]
+        return Graph._trusted(len(self.adj), edges)
 
     def ports_of(self, v: int) -> range:
         return range(self.start[v], self.start[v] + self.host.degree(v))
@@ -99,25 +109,34 @@ def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
         if f[v] > g.degree(v):
             raise ValueError(f"f({v}) = {f[v]} exceeds degree {g.degree(v)}")
     start = [0]
-    edges: list[Edge] = []
     for v in range(g.n):
-        first, deg = start[-1], g.degree(v)
-        cores = range(first + deg, first + 2 * deg - f[v])
-        edges.extend((p, c) for p in range(first, first + deg) for c in cores)
-        start.append(cores.stop)
-    # g.edges is sorted, so each vertex meets its edges in ascending
-    # neighbour order, the order of its ports
+        start.append(start[-1] + 2 * g.degree(v) - f[v])
+    # vertices, then their neighbours, in ascending order meet the edges
+    # u < v in the order of g.edges, as port_pairs needs.  A larger
+    # neighbour x gives v's port the next free port of x; a smaller one has
+    # already recorded the partner of v's port
     next_port = start[:-1]
+    partner = [0] * start[-1]
     port_pairs = []
-    for u, v in g.edges:
-        pair = (next_port[u], next_port[v])
-        next_port[u] += 1
-        next_port[v] += 1
-        edges.append(pair)
-        port_pairs.append(pair)
-    # ports precede their cores and u < v gives ports(u) < ports(v), so
-    # every pair is distinct and ordered
-    return GadgetGraph(g, f, Graph._trusted(start[-1], edges), tuple(start), tuple(port_pairs))
+    adj = []
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        port = start[v]
+        cores = tuple(range(port + len(nbrs), start[v + 1]))
+        for x in nbrs:
+            # the partner port of a smaller neighbour lies below v's cores,
+            # that of a larger one above them, so each list stays ascending
+            if x < v:
+                adj.append((partner[port],) + cores)
+            else:
+                across = next_port[x]
+                next_port[x] = across + 1
+                partner[across] = port
+                port_pairs.append((port, across))
+                adj.append(cores + (across,))
+            port += 1
+        adj.extend([tuple(range(start[v], port))] * len(cores))
+    return GadgetGraph(g, f, tuple(start), tuple(port_pairs), tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -138,11 +157,10 @@ class FFactor:
         return self.degrees() == list(f.targets)
 
 
-def extract_f_factor(gg: GadgetGraph, matching: Matching) -> FFactor:
-    """Read the factor off a perfect gadget matching."""
-    if not matching.is_perfect(gg.graph):
+def extract_f_factor(gg: GadgetGraph, mate: list[int]) -> FFactor:
+    """Read the factor off the mate array of a perfect gadget matching."""
+    if len(mate) != len(gg.adj) or -1 in mate:
         raise ValueError("matching is not perfect on the gadget")
-    mate = matching.mate_array(gg.graph.n)
     chosen = tuple(
         e for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs) if mate[pu] == pv
     )
@@ -281,10 +299,14 @@ def find_f_factor(g: Graph, f: DegreeSpec) -> FFactor | None:
     if any(f[v] > g.degree(v) for v in range(g.n)):
         return None
     gg = build_gadget(g, f)
-    m = maximum_matching(gg.graph)
-    if not m.is_perfect(gg.graph):
-        return None
-    return extract_f_factor(gg, m)
+    adj = gg.adj
+    mate = _maximum_matching_mates(len(adj), adj)
+    for u, v in enumerate(mate):
+        if v < 0:
+            return None
+        if mate[v] != u or v not in adj[u]:
+            raise AssertionError(f"matched pair ({u},{v}) is not a gadget edge")
+    return extract_f_factor(gg, mate)
 
 
 def solve(g: Graph, w: Iterable[int]) -> PathCycleSystem | None:

@@ -154,6 +154,7 @@ def parse_graph(text: str | bytes) -> Graph:
     n = None
     m = None
     seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []  # file order: sorted in a canonical file
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
@@ -188,16 +189,18 @@ def parse_graph(text: str | bytes) -> Graph:
                 raise GraphFormatError(f"vertex index out of range in edge ({u},{v})", lineno)
             if u > v:
                 raise GraphFormatError(f"edge ({u},{v}) must be written with u < v", lineno)
-            if (u, v) in seen:
+            e = (u, v)
+            if e in seen:
                 raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
-            seen.add((u, v))
+            seen.add(e)
+            edges.append(e)
         else:
             raise GraphFormatError(f"unknown line type {fields[0]!r}", lineno)
     if n is None:
         raise GraphFormatError("missing 'p' header")
-    if m != len(seen):
-        raise GraphFormatError(f"header promises {m} edges, found {len(seen)}")
-    return Graph._trusted(n, seen)
+    if m != len(edges):
+        raise GraphFormatError(f"header promises {m} edges, found {len(edges)}")
+    return Graph._trusted(n, edges)
 
 
 def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:

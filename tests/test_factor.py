@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pathcycle import families
 from pathcycle.errors import UndecidedAtScaleError
 from pathcycle.factor import (
     MAX_ORACLE_EDGES,
@@ -18,11 +19,11 @@ from pathcycle.factor import (
 )
 from pathcycle.families import random_valid_instance
 from pathcycle.graphs import Graph, serialize_graph, serialize_terminals
-from pathcycle.matching import Matching, maximum_matching
+from pathcycle.matching import maximum_matching
 
 from .conftest import (
+    COUNTEREXAMPLE_LADDER,
     complete_graph,
-    counterexample_gadgets,
     cycle_graph,
     random_connected_graph,
     random_graph,
@@ -76,11 +77,12 @@ def test_gadget_no_cores_when_f_equals_degree():
     g = cycle_graph(4)
     gg = build_gadget(g, DegreeSpec((2, 2, 2, 2)))
     assert all(len(gg.cores_of(v)) == 0 and len(gg.ports_of(v)) == 2 for v in range(4))
-    assert gg.graph.n == 8
-    assert gg.graph.edge_count == 4  # only the port-port edges survive
-    m = maximum_matching(gg.graph)
-    assert m.is_perfect(gg.graph)
-    assert extract_f_factor(gg, m).edges == cycle_graph(4).edges
+    graph = gg.graph
+    assert graph.n == 8
+    assert graph.edge_count == 4  # only the port-port edges survive
+    m = maximum_matching(graph)
+    assert m.is_perfect(graph)
+    assert extract_f_factor(gg, m.mate_array(graph.n)).edges == cycle_graph(4).edges
 
 
 def test_gadget_structure_on_random_specs():
@@ -89,6 +91,7 @@ def test_gadget_structure_on_random_specs():
         g = random_graph(rng, rng.randrange(0, 11), rng.uniform(0.1, 0.9))
         f = DegreeSpec(tuple(rng.randrange(g.degree(v) + 1) for v in range(g.n)))
         gg = build_gadget(g, f)
+        graph = gg.graph
         blocks = []
         for v in range(g.n):
             ports, cores = gg.ports_of(v), gg.cores_of(v)
@@ -96,7 +99,7 @@ def test_gadget_structure_on_random_specs():
             assert ports.stop == cores.start
             blocks.extend(ports)
             blocks.extend(cores)
-        assert blocks == list(range(gg.graph.n))  # the blocks partition the gadget
+        assert blocks == list(range(graph.n))  # the blocks partition the gadget
         owner = {x: v for v in range(g.n) for x in range(gg.start[v], gg.start[v + 1])}
         across = {}
         for e, (pu, pv) in zip(g.edges, gg.port_pairs):
@@ -105,37 +108,40 @@ def test_gadget_structure_on_random_specs():
         for v in range(g.n):
             cores = set(gg.cores_of(v))
             for p in gg.ports_of(v):
-                foreign = [x for x in gg.graph.neighbors(p) if x not in cores]
-                assert cores <= set(gg.graph.neighbors(p))
+                foreign = [x for x in graph.neighbors(p) if x not in cores]
+                assert cores <= set(graph.neighbors(p))
                 assert foreign == [across[p]] and owner[across[p]] != v
             for c in cores:
-                assert set(gg.graph.neighbors(c)) == set(gg.ports_of(v))
-        assert gg.graph.n == sum(2 * g.degree(v) - f[v] for v in range(g.n))
-        assert gg.graph.edge_count == g.edge_count + sum(
+                assert set(graph.neighbors(c)) == set(gg.ports_of(v))
+        assert graph.n == sum(2 * g.degree(v) - f[v] for v in range(g.n))
+        assert graph.edge_count == g.edge_count + sum(
             g.degree(v) * (g.degree(v) - f[v]) for v in range(g.n)
         )
 
 
-def test_gadget_graph_equals_the_checked_constructor(monkeypatch):
-    built = []
-    trusted = Graph._trusted
+def _gadget_edges(gg) -> list[tuple[int, int]]:
+    """The gadget's edges by its definition: every port of a vertex joined
+    to every core of that vertex, and the two ports of each host edge."""
+    edges = [(p, c) for v in range(gg.host.n) for p in gg.ports_of(v) for c in gg.cores_of(v)]
+    return edges + list(gg.port_pairs)
 
-    def recording(n, edges):
-        graph = trusted(n, edges)
-        built.append((n, list(edges), graph))
-        return graph
 
-    monkeypatch.setattr(Graph, "_trusted", staticmethod(recording))
-    labels = [label for label, _ in counterexample_gadgets()]
+def test_gadget_graph_equals_the_checked_constructor():
+    gadgets = []
+    for gen, params in COUNTEREXAMPLE_LADDER:
+        inst = getattr(families, gen)(*params)
+        gadgets.append(build_gadget(inst.graph, degree_spec_from_terminals(inst.graph, inst.w)))
     rng = random.Random(31)
     for _ in range(150):
         g = random_graph(rng, rng.randrange(0, 13), rng.uniform(0.1, 0.9))
-        build_gadget(g, DegreeSpec(tuple(rng.randrange(g.degree(v) + 1) for v in range(g.n))))
-    assert len(built) == len(labels) + 150
-    for n, edges, graph in built:
-        checked = Graph(n, edges)
-        assert graph.n == n
-        assert graph.edges == checked.edges and graph._adj == checked._adj
+        gadgets.append(
+            build_gadget(g, DegreeSpec(tuple(rng.randrange(g.degree(v) + 1) for v in range(g.n))))
+        )
+    for gg in gadgets:
+        checked = Graph(gg.start[-1], _gadget_edges(gg))
+        assert tuple(gg.adj) == checked._adj
+        graph = gg.graph
+        assert graph == checked and graph._adj == checked._adj
 
 
 def test_gadget_rejects_oversized_f():
@@ -145,15 +151,46 @@ def test_gadget_rejects_oversized_f():
 
 def test_extract_requires_perfect_matching():
     gg = build_gadget(cycle_graph(4), DegreeSpec((1, 1, 2, 2)))
-    with pytest.raises(ValueError, match="not perfect"):
-        extract_f_factor(gg, maximum_matching(Graph(2, [(0, 1)])))
+    path = FFactor(4, ((0, 3), (1, 2), (2, 3)))  # 0-3-2-1
+    perfect = _mates_from_factor(gg, path)
+    assert extract_f_factor(gg, perfect) == path
+    for mate in (perfect[:2], perfect[:-2] + [-1, -1]):
+        with pytest.raises(ValueError, match="not perfect"):
+            extract_f_factor(gg, mate)
 
 
-def _matching_from_factor(gg, factor: FFactor) -> Matching:
-    """The perfect gadget matching of an f-factor: ports of factor edges are
-    matched across, and each vertex's other ports to its cores in index order."""
+def test_a_matched_pair_off_the_gadget_raises(monkeypatch):
+    # C4 with f = 2 everywhere: ports only, joined across the host edges.
+    # Matching each vertex's two ports to each other is perfect, but no
+    # pair is a gadget edge
+    g, f = cycle_graph(4), DegreeSpec((2, 2, 2, 2))
+    monkeypatch.setattr(
+        "pathcycle.factor._maximum_matching_mates", lambda n, adj: [1, 0, 3, 2, 5, 4, 7, 6]
+    )
+    with pytest.raises(AssertionError, match="not a gadget edge"):
+        find_f_factor(g, f)
+
+
+def test_a_perfect_matching_that_breaks_f_raises(monkeypatch):
+    # the same mates read as a factor choose no host edge, so every vertex
+    # gets degree 0 where f asks for 2.  A perfect matching of gadget edges
+    # always meets f, so find_f_factor's pair check fires before the degree
+    # check; extract_f_factor keeps the degree check for its own callers
+    g, f = cycle_graph(4), DegreeSpec((2, 2, 2, 2))
+    mate = [1, 0, 3, 2, 5, 4, 7, 6]
+    monkeypatch.setattr("pathcycle.factor._maximum_matching_mates", lambda n, adj: list(mate))
+    with pytest.raises(AssertionError):
+        find_f_factor(g, f)
+    with pytest.raises(AssertionError, match="degree-violating"):
+        extract_f_factor(build_gadget(g, f), mate)
+
+
+def _mates_from_factor(gg, factor: FFactor) -> list[int]:
+    """The perfect gadget matching of an f-factor, as a mate array: ports of
+    factor edges are matched across, and each vertex's other ports to its
+    cores in index order."""
     chosen = set(factor.edges)
-    mate = [-1] * gg.graph.n
+    mate = [-1] * len(gg.adj)
     for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs):
         if e in chosen:
             mate[pu], mate[pv] = pv, pu
@@ -163,7 +200,7 @@ def _matching_from_factor(gg, factor: FFactor) -> Matching:
         assert len(free_ports) == len(cores), v
         for p, c in zip(free_ports, cores):
             mate[p], mate[c] = c, p
-    return Matching.from_mates(mate)
+    return mate
 
 
 def test_gadget_soundness_both_ways():
@@ -181,11 +218,10 @@ def test_gadget_soundness_both_ways():
         if factor is None:
             continue
         gg = build_gadget(g, f)
-        m = _matching_from_factor(gg, factor)
-        assert m.is_perfect(gg.graph)
-        for u, v in m.pairs:
-            assert gg.graph.has_edge(u, v)
-        assert extract_f_factor(gg, m).edges == tuple(sorted(factor.edges))
+        mate = _mates_from_factor(gg, factor)
+        graph = gg.graph
+        assert all(graph.has_edge(u, v) and mate[v] == u for u, v in enumerate(mate))
+        assert extract_f_factor(gg, mate).edges == tuple(sorted(factor.edges))
         done += 1
 
 

@@ -74,6 +74,15 @@ def test_parse_triangle():
     assert g == Graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def test_parse_edges_out_of_order():
+    # the parser keeps the edges in file order; the graph must not
+    edges = [(3, 4), (0, 4), (1, 2), (0, 1), (2, 4), (0, 3)]
+    g = parse_graph("p 5 6\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    checked = Graph(5, edges)
+    assert g == checked and g.edges == tuple(sorted(edges))
+    assert all(g.neighbors(v) == checked.neighbors(v) for v in range(5))
+
+
 def test_parse_duplicate_edge_names_line():
     with pytest.raises(GraphFormatError, match="line 3"):
         parse_graph("p 3 2\ne 0 1\ne 0 1\n")
