@@ -37,7 +37,8 @@ Since delta(S, T) = f(V) (mod 2) (W. T. Tutte, "The factors of graphs",
 Canad. J. Math. 4, 1952), an R-set whose bound is at least 0, or at least
 -1 when f(V) is even, holds no violation.  The tables kept for the scan take
 about 2n + 12 bytes per vertex set and about 4n more while they are built:
-0.7 MB, and 1.6 MB at the peak, at n = 14.
+0.63 MB, and 1.53 MB at the peak, at n = 14.  A chunk of pairs adds about
+0.9 MB, so a whole scan at n = 14 peaks at 1.5 to 1.9 MB.
 
 The R-sets left are scanned layer by layer in ascending |R|, all splits of
 a chunk of them at once, and the scan stops at the first layer that holds a
@@ -50,9 +51,12 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Pairs evaluated per vectorised step, about 15 bytes each: a chunk of
-#: R-sets of size k holds max(1, _CHUNK >> k) of them.
-_CHUNK = 1 << 14
+#: Pairs evaluated per vectorised step, about 14 bytes each, 0.9 MB in all:
+#: a chunk of R-sets of size k holds max(1, _CHUNK >> k) of them.  A chunk
+#: also costs 25-30 us whatever it holds.  Over budgets of 2^14 to 2^18
+#: pairs, the feasible scans at n = 12 ran fastest at 2^16, and a larger
+#: budget raises the peak at n = 14 above 2 MB.
+_CHUNK = 1 << 16
 
 
 def _set_tables(g, f, n: int, ids):

@@ -625,6 +625,37 @@ def _greedy_terminals(g: Graph, cap: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+# CPython's 64-bit hash constants: ints hash to their residue mod 2^61 - 1,
+# and tuples mix their items' hashes with the xxHash primes
+_HASH_MODULUS = (1 << 61) - 1
+_MASK64 = (1 << 64) - 1
+_XXPRIME_1 = 11400714785074694791
+_XXPRIME_2 = 14029467366897019727
+_XXPRIME_5 = 2870177450012600261
+
+
+def _tuple_hash(items: tuple[int, ...]) -> int:
+    """``hash(items)`` of a tuple of ints as a 64-bit CPython (3.8 or later)
+    computes it, whatever the width of the running build.
+
+    An int hashes to its absolute value mod 2^61 - 1 with the int's sign,
+    -1 becoming -2; the tuple folds those hashes, read as unsigned 64-bit
+    lanes, into one xxHash-style accumulator.
+    """
+    acc = _XXPRIME_5
+    for x in items:
+        lane = abs(x) % _HASH_MODULUS
+        if x < 0:
+            lane = -2 if lane == 1 else -lane
+        acc = (acc + (lane & _MASK64) * _XXPRIME_2) & _MASK64
+        acc = ((acc << 31) | (acc >> 33)) & _MASK64  # rotate left by 31
+        acc = acc * _XXPRIME_1 & _MASK64
+    acc = (acc + (len(items) ^ _XXPRIME_5 ^ 3527539)) & _MASK64
+    if acc == _MASK64:  # -1 is reserved for errors
+        return 1546275796
+    return acc - (1 << 64) if acc >> 63 else acc
+
+
 def random_valid_instance(r: int, size: int, seed: int) -> FamilyInstance:
     """Seed-deterministic K_{1,r}-free r-edge-connected r-regular instance
     with a terminal set satisfying the one-neighbor condition.
@@ -638,7 +669,7 @@ def random_valid_instance(r: int, size: int, seed: int) -> FamilyInstance:
     if size < 8:
         raise ValueError("size must be >= 8")
     _check_size(max(size + 3, 13), r)  # the most vertices a candidate has
-    rng = random.Random((r, size, seed).__hash__())
+    rng = random.Random(_tuple_hash((r, size, seed)))
     for _attempt in range(60):
         style = rng.choice(("circulant", "line")) if r == 4 else "circulant"
         if style == "line":

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import random
+import sys
 import time
 
 import pytest
@@ -265,6 +267,19 @@ def test_random_instances_are_solvable(r):
         system = solve(inst.graph, inst.w)
         assert system is not None
         system.validate(inst.graph, inst.w)
+
+
+@pytest.mark.skipif(sys.hash_info.width != 64, reason="hash() of this build is not the 64-bit one")
+def test_seed_hash_is_the_64_bit_tuple_hash():
+    # random_valid_instance seeds from this value, so a 32-bit build draws
+    # the same instances as the 64-bit builds that pinned them
+    rng = random.Random(7)
+    triples = [(4, 16, 0), (5, 22, -1), (6, 8, -2), (4, 9, 2**61 - 1), (4, 9, 2**61 + 1), (6, 40, -(2**64))]
+    for _ in range(3000):
+        bits = rng.choice([4, 16, 40, 61, 62, 64, 100])
+        triples.append((rng.randrange(3, 10), rng.randrange(8, 500), rng.randrange(-2**bits, 2**bits)))
+    for t in triples:
+        assert families._tuple_hash(t) == hash(t), t
 
 
 def test_random_instance_rejects_unsupported_degree():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pathcycle.factor import (
 )
 from pathcycle.graphs import Graph
 from pathcycle.tutte import (
+    MAX_SCAN_VERTICES,
     TutteCertificate,
     evaluate_pair,
     format_certificate,
@@ -258,7 +260,7 @@ def test_scan_chunks_bound_their_working_set(n):
     rng = random.Random(n)
     g = random_connected_graph(rng, n, 0.3)
     scan = _certkernel._Scan(g, degree_spec_from_terminals(g, []))
-    last, covered = 0, []
+    last, covered, sizes = 0, [], {}
     for k, rs, pos in scan.chunks():
         assert k >= last
         last = k
@@ -266,6 +268,12 @@ def test_scan_chunks_bound_their_working_set(n):
         # also says that every R-set of the chunk has size k
         assert pos.tolist() == [[v for v in range(n) if r >> v & 1] for r in rs.tolist()]
         covered += rs.tolist()
+        sizes.setdefault(k, []).append(len(rs))
+    # every chunk but the last of its layer is full: the budget, not a finer
+    # split, sets how many chunks a layer takes
+    for k, counts in sizes.items():
+        assert all(c == max(1, _certkernel._CHUNK >> k) for c in counts[:-1]), (k, counts)
+    assert any(len(counts) > 1 for counts in sizes.values())
     keep = scan.keep.tolist()
     assert sorted(covered) == [r for r in range(1 << n) if keep[r]]
     skipped = [r for r in range(1 << n) if not keep[r]]
@@ -277,6 +285,25 @@ def test_scan_chunks_bound_their_working_set(n):
             rs = scan.ids[layer[lo:lo + rows]]
             pos = np.array([_members(n, r) for r in rs.tolist()], np.intp).reshape(len(rs), k)
             assert not list(scan.violations(rs, pos, k))
+
+
+def test_scan_working_set_at_the_largest_scan():
+    # MAX_SCAN_VERTICES states a peak under 2 MB there: the larger of the
+    # table build and the kept tables plus one full chunk of _CHUNK pairs
+    n = MAX_SCAN_VERTICES
+    rng = random.Random(4)
+    g = random_connected_graph(rng, n, 0.3)
+    kept = [e for e in g.edges if rng.random() < 0.5]
+    f = DegreeSpec(tuple(sum(v in e for e in kept) for v in range(n)))  # feasible
+    assert max(len(rs) << k for k, rs, _ in _certkernel._Scan(g, f).chunks()) == _certkernel._CHUNK
+    tracemalloc.start()
+    try:
+        least = least_violation(g, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert least is None  # so the scan ran every layer
+    assert peak < 2 * 2**20, peak
 
 
 def _splits(n, r):
@@ -421,7 +448,7 @@ SCAN_ANSWERS_SHA256 = "78d6618ad6fd6af40171103c49c4c924b7d83c257bb0370a757a8f956
 
 
 def test_scan_answers_are_pinned():
-    # at n >= 8 the middle layers span several chunks at the default _CHUNK
+    # at n >= 12 the middle layers span several chunks at the default _CHUNK
     digest = hashlib.sha256()
     outcomes = set()
     for g, f in _pinned_scan_inputs():
