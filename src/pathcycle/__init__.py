@@ -50,7 +50,7 @@ from .graphs import (
     serialize_graph,
     serialize_terminals,
 )
-from .matching import Matching, maximum_matching
+from .matching import maximum_matching_mates
 from .tutte import (
     TutteCertificate,
     evaluate_pair,
@@ -81,7 +81,6 @@ __all__ = [
     "GraphFormatError",
     "GraphHypotheses",
     "INFINITY",
-    "Matching",
     "PathCycleSystem",
     "PropertyReport",
     "RuleConstants",
@@ -108,7 +107,7 @@ __all__ = [
     "gen_prop2_general",
     "gen_prop2_r4",
     "gen_prop2_r5",
-    "maximum_matching",
+    "maximum_matching_mates",
     "parse_certificate",
     "parse_graph",
     "parse_terminals",

@@ -38,7 +38,9 @@ Canad. J. Math. 4, 1952), an R-set whose bound is at least 0, or at least
 -1 when f(V) is even, holds no violation.  The tables kept for the scan take
 about 2n + 12 bytes per vertex set and about 4n more while they are built:
 0.63 MB, and 1.53 MB at the peak, at n = 14.  A chunk of pairs adds about
-0.9 MB, so a whole scan at n = 14 peaks at 1.5 to 1.9 MB.
+0.9 MB, with the vertex positions of its R-sets built per chunk, so a whole
+scan at n = 14 peaks at 1.53 to 1.61 MB (tracemalloc, 80 random inputs),
+and at 1.66 MB with no R-set skipped.
 
 The R-sets left are scanned layer by layer in ascending |R|, all splits of
 a chunk of them at once, and the scan stops at the first layer that holds a
@@ -160,10 +162,12 @@ class _Scan:
         shifts = np.arange(self.n, dtype=self.ids.dtype)
         for k in range(self.n + 1):
             layer = self.ids[(self.pc == k) & self.keep]
-            pos = np.nonzero((layer[:, None] >> shifts) & 1)[1].reshape(len(layer), k)
             rows = max(1, _CHUNK >> k)
             for lo in range(0, len(layer), rows):
-                yield k, layer[lo:lo + rows], pos[lo:lo + rows]
+                rs = layer[lo:lo + rows]
+                # per chunk: nonzero's columns are views of its whole index buffer
+                pos = np.nonzero((rs[:, None] >> shifts) & 1)[1].reshape(len(rs), k)
+                yield k, rs, pos
 
     def violations(self, rs, pos, k: int):
         """``(S, T)`` masks of the violating splits of the R-sets ``rs`` of size k."""

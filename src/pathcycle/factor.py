@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import UndecidedAtScaleError
 from .graphs import Graph, as_vertex_set
-from .matching import _maximum_matching_mates
+from .matching import maximum_matching_mates
 
 Edge = tuple[int, int]
 
@@ -75,23 +75,23 @@ class GadgetGraph:
 
     Host vertex v owns the gadget vertices ``start[v] .. start[v+1]-1``:
     first its deg(v) ports, one per neighbour in ascending order, then its
-    deg(v) - f(v) cores.  ``port_pairs[j]`` gives the two port vertices of
-    original edge ``host.edges[j]``.  ``adj[x]`` lists the neighbours of
-    gadget vertex x in ascending order: a port's are its partner port and
-    its vertex's cores, a core's are its vertex's ports.  :attr:`graph`
-    builds the gadget as a :class:`Graph` on request; the solver reads
-    ``adj`` and never builds it.
+    deg(v) - f(v) cores.  ``adj[x]`` lists the neighbours of gadget vertex
+    x in ascending order: a port's are its vertex's cores and its partner
+    port, the port of the same host edge at the other end, which comes
+    first toward a smaller neighbour and last toward a larger one; a
+    core's are its vertex's ports.
     """
 
     host: Graph
     spec: DegreeSpec
     start: tuple[int, ...]
-    port_pairs: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...]
 
     @property
     def graph(self) -> Graph:
-        """The gadget as a :class:`Graph`, built anew on each access."""
+        """The gadget as a :class:`Graph`, built anew on each access.  The
+        package never reads it; the benchmark's tracer (``perfbench/spans.py``)
+        counts the gadget's vertices and edges through it."""
         edges = [(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v]
         return Graph._trusted(len(self.adj), edges)
 
@@ -111,13 +111,12 @@ def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
     start = [0]
     for v in range(g.n):
         start.append(start[-1] + 2 * g.degree(v) - f[v])
-    # vertices, then their neighbours, in ascending order meet the edges
-    # u < v in the order of g.edges, as port_pairs needs.  A larger
+    # vertices in ascending order reach each x from its smaller neighbours
+    # in ascending order, and those own x's first ports.  So a larger
     # neighbour x gives v's port the next free port of x; a smaller one has
     # already recorded the partner of v's port
     next_port = start[:-1]
     partner = [0] * start[-1]
-    port_pairs = []
     adj = []
     for v in range(g.n):
         nbrs = g.neighbors(v)
@@ -132,11 +131,10 @@ def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
                 across = next_port[x]
                 next_port[x] = across + 1
                 partner[across] = port
-                port_pairs.append((port, across))
                 adj.append(cores + (across,))
             port += 1
         adj.extend([tuple(range(start[v], port))] * len(cores))
-    return GadgetGraph(g, f, tuple(start), tuple(port_pairs), tuple(adj))
+    return GadgetGraph(g, f, tuple(start), tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,18 @@ def extract_f_factor(gg: GadgetGraph, mate: list[int]) -> FFactor:
     """Read the factor off the mate array of a perfect gadget matching."""
     if len(mate) != len(gg.adj) or -1 in mate:
         raise ValueError("matching is not perfect on the gadget")
-    chosen = tuple(
-        e for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs) if mate[pu] == pv
-    )
-    factor = FFactor(gg.host.n, chosen)  # host.edges is sorted, so is chosen
+    # v's port p toward a larger neighbour x lists its partner last, and
+    # edge (v, x) is chosen iff the two are matched.  v and x ascending
+    # meet the edges in the sorted order of host.edges
+    host, start, adj = gg.host, gg.start, gg.adj
+    chosen = []
+    for v in range(host.n):
+        p = start[v]
+        for x in host.neighbors(v):
+            if x > v and mate[p] == adj[p][-1]:
+                chosen.append((v, x))
+            p += 1
+    factor = FFactor(host.n, tuple(chosen))
     if not factor.matches_spec(gg.spec):
         raise AssertionError("gadget matching produced a degree-violating factor")
     return factor
@@ -300,7 +306,7 @@ def find_f_factor(g: Graph, f: DegreeSpec) -> FFactor | None:
         return None
     gg = build_gadget(g, f)
     adj = gg.adj
-    mate = _maximum_matching_mates(len(adj), adj)
+    mate = maximum_matching_mates(len(adj), adj)
     for u, v in enumerate(mate):
         if v < 0:
             return None

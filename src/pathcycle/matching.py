@@ -23,51 +23,11 @@ the tests keep as a reference.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-
-from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges of some host graph."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def mate_array(self, n: int) -> list[int]:
-        mate = [-1] * n
-        for u, v in self.pairs:
-            mate[u] = v
-            mate[v] = u
-        return mate
-
-    def is_perfect(self, g: Graph) -> bool:
-        return 2 * self.size == g.n
-
-    @classmethod
-    def from_mates(cls, mate: list[int]) -> "Matching":
-        pairs = tuple(
-            (u, v) for u, v in ((u, mate[u]) for u in range(len(mate)))
-            if v >= 0 and u < v
-        )
-        return cls(pairs)
-
-
-def maximum_matching(g: Graph) -> Matching:
-    """Maximum-cardinality matching of ``g`` (deterministic)."""
-    mate = _maximum_matching_mates(g.n, g._adj)
-    matching = Matching.from_mates(mate)
-    for u, v in matching.pairs:
-        if not g.has_edge(u, v):
-            raise AssertionError(f"matched pair ({u},{v}) is not an edge")
-    return matching
-
-
-def _maximum_matching_mates(n: int, adj) -> list[int]:
+def maximum_matching_mates(n: int, adj) -> list[int]:
+    """Maximum matching of the graph on vertices 0..n-1 with adjacency
+    lists ``adj``, as a mate array: ``mate[u]`` is u's partner, or -1."""
     mate = [-1] * n
 
     # greedy maximal matching in index order

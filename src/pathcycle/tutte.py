@@ -141,7 +141,7 @@ def evaluate_pair(
 #: Largest vertex count :func:`search_certificate` scans.  The scan's time
 #: grows as 3^n and its tables as 2^n sets of about 2n + 12 bytes, with about
 #: 4n more while they are built, and a chunk of pairs adds about 0.9 MB: a
-#: scan peaks under 2 MB at 14 vertices (1.9 MB at most measured), and its
+#: scan peaks under 2 MB at 14 vertices (1.66 MB at most measured), and its
 #: tables alone take over 70 GB at 30.
 MAX_SCAN_VERTICES = 14
 

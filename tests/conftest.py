@@ -350,14 +350,16 @@ COUNTEREXAMPLE_LADDER = [
 
 
 def counterexample_gadgets():
-    """(label, gadget graph) for every instance of the ladder."""
+    """(label, vertex count, adjacency lists) of the gadget of every
+    instance of the ladder."""
     from pathcycle import families
     from pathcycle.factor import build_gadget, degree_spec_from_terminals
 
     for gen, params in COUNTEREXAMPLE_LADDER:
         inst = getattr(families, gen)(*params)
         f = degree_spec_from_terminals(inst.graph, inst.w)
-        yield f"{gen}{params}", build_gadget(inst.graph, f).graph
+        adj = build_gadget(inst.graph, f).adj
+        yield f"{gen}{params}", len(adj), adj
 
 
 @pytest.fixture(scope="session")

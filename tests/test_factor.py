@@ -19,7 +19,7 @@ from pathcycle.factor import (
 )
 from pathcycle.families import random_valid_instance
 from pathcycle.graphs import Graph, serialize_graph, serialize_terminals
-from pathcycle.matching import maximum_matching
+from pathcycle.matching import maximum_matching_mates
 
 from .conftest import (
     COUNTEREXAMPLE_LADDER,
@@ -68,7 +68,7 @@ def test_gadget_port_core_counts():
     gg = build_gadget(g, f)
     assert gg.ports_of(0) == range(0, 3) and gg.cores_of(0) == range(3, 4)
     assert gg.ports_of(3) == range(6, 7) and gg.cores_of(3) == range(7, 8)
-    assert gg.graph.n == sum(g.degree(v) for v in range(g.n)) + sum(
+    assert len(gg.adj) == sum(g.degree(v) for v in range(g.n)) + sum(
         g.degree(v) - f[v] for v in range(g.n)
     )
 
@@ -77,12 +77,11 @@ def test_gadget_no_cores_when_f_equals_degree():
     g = cycle_graph(4)
     gg = build_gadget(g, DegreeSpec((2, 2, 2, 2)))
     assert all(len(gg.cores_of(v)) == 0 and len(gg.ports_of(v)) == 2 for v in range(4))
-    graph = gg.graph
-    assert graph.n == 8
-    assert graph.edge_count == 4  # only the port-port edges survive
-    m = maximum_matching(graph)
-    assert m.is_perfect(graph)
-    assert extract_f_factor(gg, m.mate_array(graph.n)).edges == cycle_graph(4).edges
+    assert len(gg.adj) == 8
+    assert sum(map(len, gg.adj)) == 2 * 4  # only the port-port edges survive
+    mate = maximum_matching_mates(len(gg.adj), gg.adj)
+    assert -1 not in mate
+    assert extract_f_factor(gg, mate).edges == cycle_graph(4).edges
 
 
 def test_gadget_structure_on_random_specs():
@@ -91,7 +90,7 @@ def test_gadget_structure_on_random_specs():
         g = random_graph(rng, rng.randrange(0, 11), rng.uniform(0.1, 0.9))
         f = DegreeSpec(tuple(rng.randrange(g.degree(v) + 1) for v in range(g.n)))
         gg = build_gadget(g, f)
-        graph = gg.graph
+        adj = gg.adj
         blocks = []
         for v in range(g.n):
             ports, cores = gg.ports_of(v), gg.cores_of(v)
@@ -99,31 +98,40 @@ def test_gadget_structure_on_random_specs():
             assert ports.stop == cores.start
             blocks.extend(ports)
             blocks.extend(cores)
-        assert blocks == list(range(graph.n))  # the blocks partition the gadget
+        assert blocks == list(range(len(adj)))  # the blocks partition the gadget
         owner = {x: v for v in range(g.n) for x in range(gg.start[v], gg.start[v + 1])}
         across = {}
-        for e, (pu, pv) in zip(g.edges, gg.port_pairs):
+        for e, (pu, pv) in zip(g.edges, _edge_ports(gg)):
             assert (owner[pu], owner[pv]) == e
             across[pu], across[pv] = pv, pu
         for v in range(g.n):
             cores = set(gg.cores_of(v))
             for p in gg.ports_of(v):
-                foreign = [x for x in graph.neighbors(p) if x not in cores]
-                assert cores <= set(graph.neighbors(p))
+                foreign = [x for x in adj[p] if x not in cores]
+                assert cores <= set(adj[p])
                 assert foreign == [across[p]] and owner[across[p]] != v
             for c in cores:
-                assert set(graph.neighbors(c)) == set(gg.ports_of(v))
-        assert graph.n == sum(2 * g.degree(v) - f[v] for v in range(g.n))
-        assert graph.edge_count == g.edge_count + sum(
+                assert set(adj[c]) == set(gg.ports_of(v))
+        assert len(adj) == sum(2 * g.degree(v) - f[v] for v in range(g.n))
+        assert sum(map(len, adj)) // 2 == g.edge_count + sum(
             g.degree(v) * (g.degree(v) - f[v]) for v in range(g.n)
         )
+
+
+def _edge_ports(gg) -> list[tuple[int, int]]:
+    """The two ports of each host edge, in the order of ``host.edges``, by
+    the gadget's definition: v's port toward its i-th neighbour in
+    ascending order is start[v] + i."""
+    g = gg.host
+    port = {(v, x): gg.start[v] + i for v in range(g.n) for i, x in enumerate(g.neighbors(v))}
+    return [(port[u, v], port[v, u]) for u, v in g.edges]
 
 
 def _gadget_edges(gg) -> list[tuple[int, int]]:
     """The gadget's edges by its definition: every port of a vertex joined
     to every core of that vertex, and the two ports of each host edge."""
     edges = [(p, c) for v in range(gg.host.n) for p in gg.ports_of(v) for c in gg.cores_of(v)]
-    return edges + list(gg.port_pairs)
+    return edges + _edge_ports(gg)
 
 
 def test_gadget_graph_equals_the_checked_constructor():
@@ -140,8 +148,6 @@ def test_gadget_graph_equals_the_checked_constructor():
     for gg in gadgets:
         checked = Graph(gg.start[-1], _gadget_edges(gg))
         assert tuple(gg.adj) == checked._adj
-        graph = gg.graph
-        assert graph == checked and graph._adj == checked._adj
 
 
 def test_gadget_rejects_oversized_f():
@@ -161,11 +167,11 @@ def test_extract_requires_perfect_matching():
 
 def test_a_matched_pair_off_the_gadget_raises(monkeypatch):
     # C4 with f = 2 everywhere: ports only, joined across the host edges.
-    # Matching each vertex's two ports to each other is perfect, but no
+    # Pairing each vertex's two ports with each other is perfect, but no
     # pair is a gadget edge
     g, f = cycle_graph(4), DegreeSpec((2, 2, 2, 2))
     monkeypatch.setattr(
-        "pathcycle.factor._maximum_matching_mates", lambda n, adj: [1, 0, 3, 2, 5, 4, 7, 6]
+        "pathcycle.factor.maximum_matching_mates", lambda n, adj: [1, 0, 3, 2, 5, 4, 7, 6]
     )
     with pytest.raises(AssertionError, match="not a gadget edge"):
         find_f_factor(g, f)
@@ -178,11 +184,27 @@ def test_a_perfect_matching_that_breaks_f_raises(monkeypatch):
     # check; extract_f_factor keeps the degree check for its own callers
     g, f = cycle_graph(4), DegreeSpec((2, 2, 2, 2))
     mate = [1, 0, 3, 2, 5, 4, 7, 6]
-    monkeypatch.setattr("pathcycle.factor._maximum_matching_mates", lambda n, adj: list(mate))
+    monkeypatch.setattr("pathcycle.factor.maximum_matching_mates", lambda n, adj: list(mate))
     with pytest.raises(AssertionError):
         find_f_factor(g, f)
     with pytest.raises(AssertionError, match="degree-violating"):
         extract_f_factor(build_gadget(g, f), mate)
+
+
+def test_extract_chooses_an_edge_only_when_its_ports_are_matched():
+    # C4 with f = 2 everywhere, perfectly matched across every host edge,
+    # except that vertex 0's port toward 1 is matched to a port of vertex
+    # 2: outside 0's block, yet not its partner.  Edge (0, 1) is then not
+    # chosen, and vertices 0 and 1 fall short of f
+    g = cycle_graph(4)
+    gg = build_gadget(g, DegreeSpec((2, 2, 2, 2)))
+    mate = _mates_from_factor(gg, FFactor(4, g.edges))
+    assert extract_f_factor(gg, mate).edges == g.edges
+    port = gg.start[0]  # toward neighbour 1
+    assert mate[port] == gg.start[1]
+    mate[port] = gg.start[2]
+    with pytest.raises(AssertionError, match="degree-violating"):
+        extract_f_factor(gg, mate)
 
 
 def _mates_from_factor(gg, factor: FFactor) -> list[int]:
@@ -191,7 +213,7 @@ def _mates_from_factor(gg, factor: FFactor) -> list[int]:
     cores in index order."""
     chosen = set(factor.edges)
     mate = [-1] * len(gg.adj)
-    for e, (pu, pv) in zip(gg.host.edges, gg.port_pairs):
+    for e, (pu, pv) in zip(gg.host.edges, _edge_ports(gg)):
         if e in chosen:
             mate[pu], mate[pv] = pv, pu
     for v in range(gg.host.n):
@@ -219,8 +241,7 @@ def test_gadget_soundness_both_ways():
             continue
         gg = build_gadget(g, f)
         mate = _mates_from_factor(gg, factor)
-        graph = gg.graph
-        assert all(graph.has_edge(u, v) and mate[v] == u for u, v in enumerate(mate))
+        assert all(v in gg.adj[u] and mate[v] == u for u, v in enumerate(mate))
         assert extract_f_factor(gg, mate).edges == tuple(sorted(factor.edges))
         done += 1
 

@@ -88,7 +88,7 @@ def test_no_route_calls_another():
         and any(alias.name.split(".")[0] == "pathcycle" for alias in node.names)
     ]
     assert not package_imports, f"_certkernel imports the package: {package_imports}"
-    solver = {"solve", "find_f_factor", "maximum_matching", "build_gadget"}
+    solver = {"solve", "find_f_factor", "maximum_matching_mates", "build_gadget"}
     oracle = {"brute_force_f_factor"}
     scan = {"search_certificate", "least_violation"}
     forbidden = {
