@@ -8,8 +8,9 @@ and finds the violations delta < 0: :func:`least_violation` gives the
 least violating pair under (|S| + |T|, S, T), or ``None`` when none exists.
 
 The 3^n pairs are evaluated with numpy.  Tables over all 2^n vertex sets X
-are built once per call: f(X), the number e(X) of edges inside X, and
-by_t(X) = deg(X) - 2 f(X) + e(X).  As e(T, S) = e(R) - e(T) - e(S),
+are built once per call: the number e(X) of edges inside X, f(X) - e(X),
+by_t(X) = deg(X) - 2 f(X) + e(X) and the skip bound's low(X) below.  As
+e(T, S) = e(R) - e(T) - e(S),
 
     delta(S, T) + q(S, T) = f(R) - e(R) + by_t(T) + e(S).
 
@@ -19,28 +20,26 @@ components with odd f(D) and ``par[y, R]`` those joined to y by an odd
 number of edges, and q(S, T) is the popcount of x0[R] XOR par[y, R] over y
 in T.
 
-Most R-sets cannot hold a violation, and the scan skips them.  The
-identity above, and then deg(T) = deg_{G-R}(T) + 2 e(T) + e(T, S), give
+Most R-sets cannot hold a violation, and the scan skips them.  With
+by_t(T) = sum_{v in T} (deg v - 2 f(v)) + e(T), the identity above gives
 
-    delta(S, T) + q(S, T) = f(R) - e(R) + sum_{v in T} (deg v - 2 f(v)) + e(T) + e(S)
-                          = f(R) + sum_{v in T} (deg_{G-R} v - 2 f(v)) + 2 e(T).
+    delta(S, T) + q(S, T) = f(R) - e(R) + sum_{v in T} (deg v - 2 f(v)) + e(T) + e(S).
 
-Dropping the e terms, letting T take exactly the v in R whose summand is
-negative, and using q(S, T) <= c(R), the number of components of G - R
-(L. Lovász, "Subgraphs with prescribed valencies", J. Combin. Theory 8,
-1970), bounds delta over all splits of R from below by
+Dropping e(T), e(S) >= 0, letting T take exactly the v in R with
+deg v - 2 f(v) < 0, and using q(S, T) <= c(R), the number of components of
+G - R (L. Lovász, "Subgraphs with prescribed valencies", J. Combin. Theory
+8, 1970), bounds delta over all splits of R from below by low(R) - c(R), where
 
-    max(sum_{v in R} min(deg v, 2 f(v)) - e(R),
-        sum_{v in R} min(deg_{G-R} v, 2 f(v))) - f(R) - c(R).
+    low(X) = sum_{v in X} (min(deg v, 2 f(v)) - f(v)) - e(X).
 
 Since delta(S, T) = f(V) (mod 2) (W. T. Tutte, "The factors of graphs",
 Canad. J. Math. 4, 1952), an R-set whose bound is at least 0, or at least
 -1 when f(V) is even, holds no violation.  The tables kept for the scan take
-about 2n + 12 bytes per vertex set and about 4n more while they are built:
-0.63 MB, and 1.53 MB at the peak, at n = 14.  A chunk of pairs adds about
+about 2n + 12 bytes per vertex set and about 2.4n more while they are built:
+0.63 MB, and 1.14 MB at the peak, at n = 14.  A chunk of pairs adds about
 0.9 MB, with the vertex positions of its R-sets built per chunk, so a whole
-scan at n = 14 peaks at 1.53 to 1.61 MB (tracemalloc, 80 random inputs),
-and at 1.66 MB with no R-set skipped.
+scan at n = 14 peaks at 1.51 to 1.61 MB (tracemalloc, 40 random feasible
+inputs), and at 1.66 MB with no R-set skipped.
 
 The R-sets left are scanned layer by layer in ascending |R|, all splits of
 a chunk of them at once, and the scan stops at the first layer that holds a
@@ -62,21 +61,25 @@ _CHUNK = 1 << 16
 
 
 def _set_tables(g, f, n: int, ids):
-    """``(base, by_t, inner)``: f(X) - e(X), by_t(X) and e(X) for every set X < 2^n.
+    """``(base, by_t, inner, low)``: f(X) - e(X), by_t(X), e(X) and the
+    module docstring's low(X) for every set X < 2^n.
 
     Each doubling step adds vertex v to the sets below 2^v.  With f(v) at
     most deg(v) + 2, every entry is O(n^2) and int16 holds it.
     """
-    fsum, by_t, inner = (np.zeros(1 << n, np.int16) for _ in range(3))
+    base, by_t, inner, low = (np.zeros(1 << n, np.int16) for _ in range(4))
     for v in range(n):
         h = 1 << v
         below = sum(1 << u for u in g.neighbors(v) if u < v)
         e_v = np.bitwise_count(ids[:h] & below)  # edges from v into X < 2^v
-        np.add(fsum[:h], f[v], out=fsum[h:2 * h])
+        np.subtract(base[:h], e_v, out=base[h:2 * h])
+        base[h:2 * h] += f[v]
         np.add(inner[:h], e_v, out=inner[h:2 * h])
         np.add(by_t[:h], e_v, out=by_t[h:2 * h])
         by_t[h:2 * h] += g.degree(v) - 2 * f[v]
-    return fsum - inner, by_t, inner
+        np.subtract(low[:h], e_v, out=low[h:2 * h])
+        low[h:2 * h] += min(g.degree(v), 2 * f[v]) - f[v]
+    return base, by_t, inner, low
 
 
 def _component_labels(g, n: int):
@@ -91,38 +94,19 @@ def _component_labels(g, n: int):
     rep = np.full((n, 1 << n), n, np.uint8)
     one = np.min_scalar_type(1 << n).type(1)
     full = (1 << n) - 1
-    cols = max(1, _CHUNK // (n + 1))
     for v in reversed(range(n)):
         blocks = rep.reshape(n, -1, 2 << v)
-        nbrs = list(g.neighbors(v))
-        for lo in range(0, blocks.shape[1], cols):
-            base = blocks[:, lo:lo + cols, -1]
-            done = blocks[:, lo:lo + cols, (1 << v) - 1]
-            # the components next to v, as a mask of their labels, merge
-            # into one labelled by its lowest vertex
-            labels = base[nbrs]
-            merged = np.bitwise_or.reduce(one << labels, axis=0) & full
-            low = np.minimum.reduce(labels, axis=0, initial=v)
-            hit = ((merged >> base) & 1).astype(bool)
-            np.copyto(done, base)
-            np.copyto(done, low, where=hit)
-            done[v] = low
+        base, done = blocks[:, :, -1], blocks[:, :, (1 << v) - 1]
+        # the components next to v, as a mask of their labels, merge into
+        # one labelled by its lowest vertex
+        labels = base[list(g.neighbors(v))]
+        merged = np.bitwise_or.reduce(one << labels, axis=0) & full
+        least = np.minimum.reduce(labels, axis=0, initial=v)
+        hit = ((merged >> base) & 1).astype(bool)
+        np.copyto(done, base)
+        np.copyto(done, least, where=hit)
+        done[v] = least
     return rep
-
-
-def _split_bound(g, f, n: int, ids, base, inner):
-    """For every set X < 2^n, the module docstring's lower bound on
-    delta(S, T) + q(S, T) over the splits of X: the larger of its two sums
-    minus f(X), in one pass over the n x 2^n membership matrix."""
-    member = (ids & (ids.dtype.type(1) << np.arange(n, dtype=ids.dtype))[:, None]) != 0
-    twof = np.array(f, np.uint8)[:, None] * 2
-    deg = np.array([g.degree(v) for v in range(n)], np.uint8)[:, None]
-    loose = (np.minimum(deg, twof) * member).sum(0, dtype=np.int16) - inner
-    nbmask = np.array([sum(1 << u for u in g.neighbors(v)) for v in range(n)], ids.dtype)
-    outer = np.bitwise_count(~ids & nbmask[:, None])  # deg_{G-X} v
-    np.minimum(outer, twof, out=outer)
-    outer *= member
-    return np.maximum(loose, outer.sum(0, dtype=np.int16)) - base - inner
 
 
 class _Scan:
@@ -136,7 +120,7 @@ class _Scan:
         f = [min(f[v], g.degree(v) + 2 - (f[v] - g.degree(v)) % 2) for v in range(n)]
         self.ids = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
         self.pc = np.bitwise_count(self.ids)
-        self.base, self.by_t, self.inner = _set_tables(g, f, n, self.ids)
+        self.base, self.by_t, self.inner, low = _set_tables(g, f, n, self.ids)
         # bits[u, R]: u's label as a mask, 0 for u in R (label n)
         one = np.min_scalar_type(1 << n).type(1)
         bits = (one << _component_labels(g, n)) & ((1 << n) - 1)
@@ -151,10 +135,8 @@ class _Scan:
                 self.par[y] ^= bits[u]
         # c(R), the number of components of G - R
         comps = np.bitwise_count(np.bitwise_or.reduce(bits, axis=0, initial=0))
-        del bits  # before the bound's n x 2^n temporaries
-        bound = _split_bound(g, f, n, self.ids, self.base, self.inner) - comps
         # keep[R]: whether R may hold a violation, as delta = f(V) (mod 2)
-        self.keep = bound < sum(f) % 2 - 1
+        self.keep = low - comps < sum(f) % 2 - 1
 
     def chunks(self):
         """Yield ``(k, R-sets of size k, pos)`` in ascending k, a chunk at a

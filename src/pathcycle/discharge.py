@@ -81,9 +81,6 @@ class ChargeState:
     component starts at charge 0.
     """
 
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    t: tuple[int, ...]
     u: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
     scale: int
@@ -306,9 +303,6 @@ def discharge(
     derived = numerator // scale
 
     state = ChargeState(
-        s1=s1,
-        s2=s2,
-        t=ts,
         u=tuple(sorted(comp_id)),
         components=tuple(comps),
         scale=scale,

@@ -12,7 +12,7 @@ from pathcycle import cli
 from pathcycle.cli import build_parser, run
 from pathcycle.factor import PathCycleSystem, degree_spec_from_terminals
 from pathcycle.families import gen_prop1_odd, write_instance
-from pathcycle.graphs import serialize_graph, serialize_terminals
+from pathcycle.graphs import MAX_PARSE_EDGES, serialize_graph, serialize_terminals
 from pathcycle.tutte import evaluate_pair
 
 from .conftest import complete_graph, cycle_graph, star_graph
@@ -84,6 +84,15 @@ def test_oracle_edge_bound_above_limit_is_usage_error(files, empty_w, capsys):
     code = run(["oracle", "--graph", big, "--terminals", empty_w, "--max-edges", "2000"])
     assert code == 2
     assert "exceeds the oracle's limit of 64" in capsys.readouterr().err
+
+
+def test_graph_over_the_edge_limit_is_input_error(files, empty_w, capsys):
+    # the header alone is refused, so no edge line is read or stored
+    big = files("big.graph", f"p 10 {MAX_PARSE_EDGES + 1}\ne 0 1\n")
+    assert run(["solve", "--graph", big, "--terminals", empty_w]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 1: {MAX_PARSE_EDGES + 1} edges exceeds the limit of {MAX_PARSE_EDGES}" in captured.err
 
 
 def test_oracle_negative_edge_bound_is_usage_error(files, empty_w, capsys):

@@ -106,6 +106,9 @@ def test_parse_requires_sorted_endpoints():
 def test_parse_edge_count_mismatch():
     with pytest.raises(GraphFormatError, match="promises"):
         parse_graph("p 3 2\ne 0 1\n")
+    # an edge beyond the count fails at its own line, before it is stored
+    with pytest.raises(GraphFormatError, match=r"^line 4: header promises 2 edges, found more$"):
+        parse_graph("p 3 2\ne 0 1\ne 1 2\ne 0 2\ne 5 6\n")
 
 
 def test_parse_missing_header():

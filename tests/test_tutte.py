@@ -359,6 +359,20 @@ def test_scan_bound_is_sound():
     assert seen == {"kept", "skipped", "f(V) odd", "f(V) even", "disconnected"}
 
 
+def test_scan_keeps_exactly_the_sets_its_bound_does_not_clear():
+    # the skip rule, recomputed naively: R is kept iff
+    # sum_{v in R} min(deg v, 2 f(v)) - f(R) - e(R) - c(R) < f(V) % 2 - 1
+    rng = random.Random(67)
+    for g, f in _small_scan_inputs(rng, 420, 7):
+        keep = _certkernel._Scan(g, f).keep.tolist()
+        for r in range(1 << g.n):
+            members = _members(g.n, r)
+            bound = sum(min(g.degree(v), 2 * f[v]) - f[v] for v in members)
+            bound -= sum(u in members and v in members for u, v in g.edges)
+            bound -= len(components(g, members))
+            assert keep[r] == (bound < f.total % 2 - 1), (g.edges, f.targets, members)
+
+
 def test_deficiency_parity():
     # delta(S, T) = f(V) (mod 2) on every pair, which lets the scan skip an
     # R-set whose bound is -1 when f(V) is even
