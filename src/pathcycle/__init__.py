@@ -64,7 +64,6 @@ from .verify import (
     check_regular,
     check_terminal_set,
     edge_connectivity,
-    essential_edge_connectivity_at_least,
     find_induced_star,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "discharge",
     "distance",
     "edge_connectivity",
-    "essential_edge_connectivity_at_least",
     "evaluate_pair",
     "extract_f_factor",
     "find_f_factor",

@@ -127,14 +127,11 @@ class ClaimCheck:
 
 @dataclass(frozen=True)
 class DischargeReport:
-    r: int
     state: ChargeState
     conservation_ok: bool
-    identity_lhs: Fraction
     identity_rhs: int
     t_independent: bool
     terminal_nbhd1: bool
-    hypotheses: GraphHypotheses
     claim_s_nonnegative: ClaimCheck
     claim_t_at_least_two: ClaimCheck
     claim_component_bound: ClaimCheck
@@ -143,7 +140,7 @@ class DischargeReport:
 
     @property
     def identity_ok(self) -> bool:
-        return self.identity_lhs == self.identity_rhs
+        return self.state.total_initial == self.identity_rhs
 
     @property
     def delta_consistent(self) -> bool:
@@ -162,7 +159,7 @@ class DischargeReport:
             f"conservation: {'PASS' if self.conservation_ok else 'FAIL'}"
             f" (total = {self.state.total_initial})",
             f"charge-identity: {'PASS' if self.identity_ok else 'FAIL'}"
-            f" ({self.identity_lhs} vs {self.identity_rhs})",
+            f" ({self.state.total_initial} vs {self.identity_rhs})",
             self.claim_s_nonnegative.format_line(),
             self.claim_t_at_least_two.format_line(),
             self.claim_component_bound.format_line(),
@@ -204,8 +201,6 @@ def discharge(
     comps, comp_id, side = prof.odd, prof.comp_id, prof.side
     q = len(comps)
     targets = f.targets  # 1 on W, 2 elsewhere
-    s1 = tuple(v for v in ss if targets[v] == 1)
-    s2 = tuple(v for v in ss if targets[v] != 1)
 
     scale = r * (r - 1)
     amt_s1, amt_s2_t, amt_comp_t = _rule_numerators(r)
@@ -213,11 +208,7 @@ def discharge(
 
     # Every transfer has an endpoint in S or T, so walking N(T) and then
     # N(S) moves all of them.
-    init_v: dict[int, int] = {}
-    for v in s1:
-        init_v[v] = scale
-    for v in s2:
-        init_v[v] = 2 * scale
+    init_v = {v: targets[v] * scale for v in ss}  # 1 on S_1, 2 on S_2
     final_v = dict(init_v)
     final_c = [0] * q
     t_independent = True
@@ -251,9 +242,7 @@ def discharge(
                     final_c[j] += amt_s_comp
 
     e_t_u = sum(prof.e_t)
-    init_total = sum(init_v.values())
-    conservation = init_total == sum(final_v.values()) + sum(final_c)
-    identity_lhs = Fraction(init_total, scale)
+    conservation = sum(init_v.values()) == sum(final_v.values()) + sum(final_c)
     identity_rhs = f.subset_sum(ss) + prof.deg_gs_t - e_t_u
 
     nbhd1 = check_terminal_set(g, ws, "nbhd1").holds
@@ -312,14 +301,11 @@ def discharge(
     )
 
     return DischargeReport(
-        r=r,
         state=state,
         conservation_ok=conservation,
-        identity_lhs=identity_lhs,
         identity_rhs=identity_rhs,
         t_independent=t_independent,
         terminal_nbhd1=nbhd1,
-        hypotheses=hypotheses,
         claim_s_nonnegative=claim3,
         claim_t_at_least_two=claim4,
         claim_component_bound=claim5,

@@ -9,12 +9,11 @@ instance is supposed to satisfy.  Claims are re-checkable through
 built: its regularity, its terminal claim and its witness deficiency,
 with the same reports :func:`verify_claims` returns, and raises
 ``AssertionError`` naming the instance and the claim otherwise.  The glued
-Prop. 2 families also check their blocks' degrees and essential edge
-connectivity, and ``prop2-general`` its second block's edge
-connectivity.  The whole instance's edge connectivity and star-freeness
-are left to callers.  Every terminal condition is decided in
-:mod:`pathcycle.verify`; this module counts no terminals.  Nothing is
-cached: every call builds and checks a fresh instance.
+Prop. 2 families also decide the whole instance's edge connectivity, which
+they claim is exactly r.  The other families' edge connectivity, and every
+family's star-freeness, are left to callers.  Every terminal condition is
+decided in :mod:`pathcycle.verify`; this module counts no terminals.
+Nothing is cached: every call builds and checks a fresh instance.
 
 Families:
 
@@ -49,7 +48,6 @@ from .verify import (
     check_regular,
     check_terminal_set,
     edge_connectivity,
-    essential_edge_connectivity_at_least,
     find_induced_star,
 )
 
@@ -57,7 +55,8 @@ Witness = tuple[tuple[int, ...], tuple[int, ...], int]
 
 #: Largest edge count a generator builds.  Every generator computes its
 #: edge count from its parameters and refuses larger instances before it
-#: builds anything; the largest instance the tests use has 3360 edges.
+#: builds anything; the largest instance the tests build, ``prop2-r5`` at
+#: m = 2000, has 45 000 edges.
 MAX_EDGES = 10**6
 
 
@@ -368,33 +367,6 @@ def gen_prop2_r4(n: int) -> FamilyInstance:
 # -- families 5 and 6: r >= 6 and r = 5 via glued biregular blocks ------------
 
 
-def _verify_block(
-    block: Graph,
-    name: str,
-    split: int,
-    degrees: tuple[int, int],
-    essential_k: int,
-    min_lambda: int | None = None,
-) -> None:
-    """Post-verify a building block whose vertices below ``split`` have
-    degree ``degrees[0]`` and the rest ``degrees[1]``; raise unless every
-    check holds.
-    """
-    for v in range(block.n):
-        want = degrees[v >= split]
-        if block.degree(v) != want:
-            raise AssertionError(
-                f"{name}: vertex {v} has degree {block.degree(v)}, wanted {want}"
-            )
-    if min_lambda is not None:
-        lam, _ = edge_connectivity(block)
-        if lam < min_lambda:
-            raise AssertionError(f"{name}: edge connectivity {lam} < {min_lambda}")
-    rep = essential_edge_connectivity_at_least(block, essential_k)
-    if not rep.holds:
-        raise AssertionError(f"{name}: not essentially {essential_k}-edge-connected")
-
-
 def _glued_family(
     r: int,
     m: int,
@@ -414,7 +386,8 @@ def _glued_family(
     partition the Y labels.  Y label i is glued onto subdivision vertex i,
     except that ``special_labels`` take the first subdivision vertices with
     an endpoint outside X_1', in ascending order, and the remaining labels
-    the remaining vertices.
+    the remaining vertices.  The glued graph's edge connectivity is decided
+    and must be exactly r, as the instance claims.
     """
     n_apex = (r - 2) * m // (r - 1)
     x1_count = 2 * m
@@ -422,11 +395,6 @@ def _glued_family(
     y_count = len(base_edges)
     if y_count != (r - 2) * m:
         raise AssertionError("block sizes disagree with the glue count")
-    h1 = Graph(
-        x1_count + y_count,
-        [(u, x1_count + sub) for sub, e in enumerate(base_edges) for u in e],
-    )
-    _verify_block(h1, "H1", x1_count, (r - 2, 2), essential_k=3)
 
     eligible = [
         sub for sub, (u, v) in enumerate(base_edges)
@@ -469,6 +437,9 @@ def _glued_family(
     edges |= _apex_pairs(b_start, ([y_start + label for label in bs] for bs in b_sets))
 
     g = Graph(total, edges)
+    lam, _ = edge_connectivity(g)
+    if lam != r:
+        raise AssertionError(f"{family_name}: edge connectivity {lam} != {r}")
     w = tuple(range(2 * n_apex)) + (b_start + w_b_labels[0], b_start + w_b_labels[1])
     s = tuple(range(y_start)) + tuple(range(b_start, total))  # X_1, X_2, b
     t = tuple(range(y_start, b_start))                        # Y, a
@@ -519,13 +490,6 @@ def gen_prop2_general(r: int, m: int) -> FamilyInstance:
             for t_layer in range(r - 2):
                 j = (i + (s_layer + 1) * t_layer) % m
                 h2_edges_labels.append((s_layer * m + i, t_layer * m + j))
-    h2 = Graph(
-        h2_x_count + y_count,
-        [(x, h2_x_count + y) for x, y in h2_edges_labels],
-    )
-    _verify_block(
-        h2, "H2", h2_x_count, (r - 2, r - 4), essential_k=r - 3, min_lambda=r - 4
-    )
 
     # B_i takes the i-th run of r - 1 labels; B_1 and B_2 glue onto
     # eligible subdivision vertices

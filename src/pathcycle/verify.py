@@ -59,9 +59,9 @@ def _max_flow_unit(
     """Max flow, one unit per undirected edge, from a source set to a
     disjoint sink set, each contracted, capped at ``limit`` augmenting paths.
 
-    ``sinks`` is any container that answers ``in``: a tuple of a few
-    vertices, or a set that the caller grows between calls.  It is only
-    queried, never copied, so a call costs what its searches touch.  The
+    ``sinks`` is any container that answers ``in``; :func:`edge_connectivity`
+    passes the one set that it grows between calls.  It is only queried,
+    never copied, so a call costs what its searches touch.  The
     flow is the set ``sent`` of arc keys ``u * n + v``, one for each arc
     carrying a unit from u to v: u -> v is residual iff its key is not sent.
     ``parent`` is the caller's list of n entries, all -1; each breadth-first
@@ -113,28 +113,6 @@ def _max_flow_unit(
     return limit, None
 
 
-def _least_cut(
-    g: Graph, pairs: Iterable[tuple[tuple[int, ...], ...]], best: int, side: set[int] | None
-) -> tuple[int, tuple[Edge, ...] | None]:
-    """The least cut: ``best`` with shore ``side``, or a unit flow between some
-    (sources, sinks) pair, each capped at the least so far; its size and edges.
-    Both connectivity checks run here: edge connectivity with Matula's growing
-    sink, and essential edge connectivity with pairs of edges."""
-    parent = [-1] * g.n
-    for sources, sinks in pairs:
-        if best == 0:
-            break
-        value, found = _max_flow_unit(g, sources, sinks, best, parent)
-        if value < best:
-            best, side = value, found
-    if side is None:
-        return best, None
-    cut = tuple(e for e in g.edges if (e[0] in side) != (e[1] in side))
-    if len(cut) != best:
-        raise AssertionError("residual cut size must equal the flow value")
-    return best, cut
-
-
 def _growing_sink(dominating: list[int]) -> Iterator[tuple[tuple[int], set[int]]]:
     """The pairs ((d_i,), {d_0, ..., d_{i-1}}); d_i joins the sink after its flow."""
     sink = {dominating[0]}
@@ -175,42 +153,18 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
             dominating.append(v)
             for u in g.neighbors(v):
                 blocked[u] = True
-    return _least_cut(g, _growing_sink(dominating), g.degree(v0), {v0})
-
-
-def essential_edge_connectivity_at_least(g: Graph, k: int) -> PropertyReport:
-    """Is the graph essentially k-edge-connected?
-
-    Holds when no set of at most k-1 edges leaves two or more components of
-    order >= 2.  A smallest such set is a cut delta(X) with an edge inside
-    X and one inside V - X, so it is a minimum cut between two disjoint
-    edges, each contracted (A. H. Esfahanian and S. L. Hakimi, "On
-    computing a conditional edge-connectivity of a graph", IPL 27, 1988).
-    Fix the edge xy.  If an optimal X keeps x and y together, the other
-    side holds an edge cd disjoint from xy: flow {x, y} -> {c, d}.
-    Otherwise x has a neighbour u on its side and y a neighbour w on its
-    side, since moving an endpoint without one across would cut fewer
-    edges: flow {x, u} -> {y, w}.  Each flow stops at the smallest cut
-    found so far, and the witness is that cut's edge set.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    name = "essential-edge-connectivity"
-    if not g.edges:
-        return PropertyReport(name, True)
-    x, y = g.edges[0]
-    pairs = [((x, y), e) for e in g.edges if x not in e and y not in e] + [
-        ((x, u), (y, w))
-        for u in g.neighbors(x) if u != y
-        for w in g.neighbors(y) if w != x and w != u
-    ]
-    best, cut = _least_cut(g, pairs, k, None)
-    if cut is None:
-        return PropertyReport(name, True)
-    return PropertyReport(
-        name, False, witness=cut,
-        detail=f"removing {best} edges leaves two components of order >= 2",
-    )
+    best, side = g.degree(v0), {v0}
+    parent = [-1] * g.n
+    for sources, sinks in _growing_sink(dominating):
+        if best == 0:
+            break
+        value, found = _max_flow_unit(g, sources, sinks, best, parent)
+        if value < best:
+            best, side = value, found
+    cut = tuple(e for e in g.edges if (e[0] in side) != (e[1] in side))
+    if len(cut) != best:
+        raise AssertionError("residual cut size must equal the flow value")
+    return best, cut
 
 
 # -- induced stars --------------------------------------------------------

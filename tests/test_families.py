@@ -409,21 +409,54 @@ def test_family_outputs_are_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_FAMILIES_SHA256
 
 
-def test_every_glued_block_is_decided_and_holds(monkeypatch):
-    reports = []
-    real = families.essential_edge_connectivity_at_least
+def test_every_glued_build_decides_its_edge_connectivity(monkeypatch):
+    seen = []
+    real = families.edge_connectivity
 
-    def recording(*args):
-        reports.append(real(*args))
-        return reports[-1]
+    def recording(g):
+        lam, cut = real(g)
+        seen.append((g.n, lam))
+        return lam, cut
 
-    monkeypatch.setattr(families, "essential_edge_connectivity_at_least", recording)
+    monkeypatch.setattr(families, "edge_connectivity", recording)
+    glued = [(gen, args) for gen, args in PINNED_FAMILIES
+             if gen in (gen_prop2_general, gen_prop2_r5)]
+    assert len(glued) == 4
+    for gen, args in glued:
+        seen.clear()
+        inst = gen(*args)
+        assert seen == [(inst.graph.n, inst.r)], (gen.__name__, args)
+
+    def one_less(g):
+        lam, cut = real(g)
+        return lam - 1, cut
+
+    monkeypatch.setattr(families, "edge_connectivity", one_less)
+    with pytest.raises(AssertionError, match="^prop2-r5: edge connectivity 4 != 5$"):
+        gen_prop2_r5(96)
+
+
+def test_a_glued_family_builds_at_scale():
+    started = time.perf_counter()
+    inst = gen_prop2_r5(2000)
+    elapsed = time.perf_counter() - started
+    assert (inst.graph.n, len(inst.graph.edges)) == (18000, 45000)
+    assert elapsed < 5.0
+
+
+def test_the_size_check_counts_the_vertices_built(monkeypatch):
+    counted = []
+    real = families._check_size
+
+    def recording(n, r):
+        counted.append(n)
+        real(n, r)
+
+    monkeypatch.setattr(families, "_check_size", recording)
     for gen, args in PINNED_FAMILIES:
-        if gen in (gen_prop2_general, gen_prop2_r5):
-            gen(*args)
-    # H1 and H2 of each prop2-general, H1 of each prop2-r5
-    assert len(reports) == 6
-    assert all(rep.holds is True for rep in reports), reports
+        counted.clear()
+        inst = gen(*args)
+        assert counted == [inst.graph.n], (gen.__name__, args)
 
 
 @pytest.mark.parametrize(

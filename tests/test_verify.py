@@ -12,7 +12,6 @@ from pathcycle.verify import (
     check_regular,
     check_terminal_set,
     edge_connectivity,
-    essential_edge_connectivity_at_least,
     find_induced_star,
 )
 
@@ -124,9 +123,9 @@ def test_edge_connectivity_cut_is_the_least_shore_of_the_first_separated_d():
     _assert_minimum_cut(g, lam, cut)
 
 
-#: computed with the residual-network flow, before flows were kept as the
-#: arcs that carry them: every cut witness must stay the same
-CONNECTIVITY_WITNESSES_SHA256 = "dc37443f9fb89d8bf73e7253ed5d4b33577d43d6ef0af83f9b39cf63893deb96"
+#: SHA-256 of lambda and its minimum cut on the counterexample ladder and
+#: 300 random graphs: every cut witness must stay the same
+CONNECTIVITY_WITNESSES_SHA256 = "6227a5c31a7866f8c7b2b5661f376abde7ef901356c74ac97f3d700c93cbf4e8"
 
 
 def test_connectivity_witnesses_are_pinned():
@@ -141,8 +140,6 @@ def test_connectivity_witnesses_are_pinned():
             extra = shift + rng.randrange(3)
             g = Graph(g.n + extra, [(u + shift, v + shift) for u, v in g.edges])
         digest.update(repr(edge_connectivity(g)).encode())
-        for k in range(1, 6):
-            digest.update(repr(essential_edge_connectivity_at_least(g, k)).encode())
     assert digest.hexdigest() == CONNECTIVITY_WITNESSES_SHA256
 
 
@@ -243,80 +240,6 @@ def test_max_flow_unit_takes_any_sink_container():
         parent = [-1] * n
         want = verify._max_flow_unit(g, (source,), tuple(sinks), limit, parent)
         assert verify._max_flow_unit(g, (source,), set(sinks), limit, parent) == want
-
-
-# -- essential edge connectivity --------------------------------------------------
-
-
-def _naive_essential_cut_size(g, k):
-    """Fewest edges, below k, whose removal leaves two components of order
-    >= 2, or None."""
-    for j in range(k):
-        for combo in itertools.combinations(g.edges, j):
-            kept = [e for e in g.edges if e not in set(combo)]
-            comps = components(Graph(g.n, kept))
-            if sum(1 for c in comps if len(c) >= 2) >= 2:
-                return j
-    return None
-
-
-def _assert_essential_witness(g, rep):
-    kept = [e for e in g.edges if e not in set(rep.witness)]
-    comps = components(Graph(g.n, kept))
-    assert sum(1 for c in comps if len(c) >= 2) >= 2
-
-
-def test_essential_k4_holds():
-    rep = essential_edge_connectivity_at_least(complete_graph(4), 3)
-    assert rep.holds is True
-    assert _naive_essential_cut_size(complete_graph(4), 3) is None
-
-
-def test_essential_bridge_between_triangles():
-    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    rep = essential_edge_connectivity_at_least(g, 2)
-    assert rep.holds is False
-    assert rep.witness == ((2, 3),)
-    _assert_essential_witness(g, rep)
-
-
-def test_essential_fails_on_two_disjoint_triangles():
-    # no edge needs removing: the empty cut already splits two triangles
-    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    rep = essential_edge_connectivity_at_least(g, 2)
-    assert rep.holds is False
-    assert rep.witness == ()
-    _assert_essential_witness(g, rep)
-
-
-def test_essential_star_never_fails():
-    rep = essential_edge_connectivity_at_least(star_graph(5), 99)
-    assert rep.holds is True
-
-
-def test_essential_matches_naive_on_random_graphs():
-    rng = random.Random(17)
-    graphs = [random_connected_graph(rng, 7, 0.35) for _ in range(12)]
-    graphs += [  # disconnected ones too, where no edge needs removing
-        random_graph(rng, rng.randrange(2, 10), rng.choice((0.2, 0.4))) for _ in range(20)
-    ]
-    for g in graphs:
-        for k in (2, 3, 4):
-            rep = essential_edge_connectivity_at_least(g, k)
-            size = _naive_essential_cut_size(g, k)
-            assert rep.holds == (size is None), (g.n, g.edges, k)
-            if size is not None:
-                assert len(rep.witness) == size, (g.n, g.edges, k)
-                _assert_essential_witness(g, rep)
-
-
-def test_essential_cycle_is_decided_at_large_k():
-    # two non-adjacent edges cut it into two paths of order >= 2
-    g = cycle_graph(12)
-    rep = essential_edge_connectivity_at_least(g, 9)
-    assert rep.holds is False
-    assert len(rep.witness) == 2
-    _assert_essential_witness(g, rep)
 
 
 # -- induced stars ----------------------------------------------------------------
