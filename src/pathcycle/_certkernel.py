@@ -34,17 +34,43 @@ G - R (L. Lovász, "Subgraphs with prescribed valencies", J. Combin. Theory
 
 Since delta(S, T) = f(V) (mod 2) (W. T. Tutte, "The factors of graphs",
 Canad. J. Math. 4, 1952), an R-set whose bound is at least 0, or at least
--1 when f(V) is even, holds no violation.  The tables kept for the scan take
-about 2n + 12 bytes per vertex set and about 2.4n more while they are built:
-0.63 MB, and 1.14 MB at the peak, at n = 14.  A chunk of pairs adds about
-0.9 MB, with the vertex positions of its R-sets built per chunk, so a whole
-scan at n = 14 peaks at 1.51 to 1.61 MB (tracemalloc, 40 random feasible
-inputs), and at 1.66 MB with no R-set skipped.
+-1 when f(V) is even, holds no violation.
 
-The R-sets left are scanned layer by layer in ascending |R|, all splits of
-a chunk of them at once, and the scan stops at the first layer that holds a
-violation.  The scan reads only the graph and the degree spec and shares no
-code with :func:`pathcycle.tutte.evaluate_pair` or the solver, so it stays an
+Most splits cannot be the least violating pair (S, T) either, as it has no
+violating proper sub-pair.  Let R = S u T, let a(v) count the components of
+G - R next to v, and take v out of R.  Only those a(v) components merge with
+v, so q falls by at most a(v), and delta changes by at most
+
+    e(v, T) - f(v) + a(v)                 for v in S,
+    f(v) - e(v, T) - e(v, V - R) + a(v)   for v in T,
+
+where e(v, X) counts the edges from v into X.  The smaller pair does not
+violate and delta = f(V) (mod 2) on both, so the change is at least 2: every
+v in S has e(v, T) + a(v) >= f(v) + 2, so deg v >= f(v) + 2, and every v in T
+has e(v, T) + e(v, V - R) - a(v) <= f(v) - 2, so f(v) >= 2, as a(v) is at
+most e(v, V - R).  The clipped f below has the same least pair, so this holds
+for it too.  A vertex may thus be in S only if deg v >= f(v) + 2 and in T
+only if f(v) >= 2; a vertex with both roles is free.  The scan reads only the
+R-sets whose vertices all have a role, and of each only the 2^k splits of its
+k free vertices, with its T-only vertices in T.  ``xt[R]`` holds x0[R] XOR
+par[y, R] over those y, so a split XORs in only its free vertices of T.
+
+The R-sets left are grouped by k in ascending k, each group in ascending
+|R|, and a chunk of a group is scanned at once, all its splits together.  As
+a chunk's |R| varies and groups do not come in ascending |R|, the least pair
+is kept across chunks; once it has size m, each later chunk is cut to its
+R-sets of size at most m, and a group with k > m is not read, as its R-sets
+have |R| >= k.
+
+The tables kept for the scan take about 2n + 12 bytes per vertex set and
+about 2.4n more while they are built: 0.63 MB, and 1.14 MB at the peak, at
+n = 14.  A chunk of pairs adds at most about 0.9 MB, with the free positions
+of its R-sets built per chunk, so a whole scan at n = 14 peaks at 1.14 to
+1.29 MB (tracemalloc, 40 random feasible inputs), and at 1.52 MB with every
+vertex free and a chunk of _CHUNK pairs.
+
+The scan reads only the graph and the degree spec and shares no code with
+:func:`pathcycle.tutte.evaluate_pair` or the solver, so it stays an
 independent route to the answer.
 """
 
@@ -53,10 +79,10 @@ from __future__ import annotations
 import numpy as np
 
 #: Pairs evaluated per vectorised step, about 14 bytes each, 0.9 MB in all:
-#: a chunk of R-sets of size k holds max(1, _CHUNK >> k) of them.  A chunk
-#: also costs 25-30 us whatever it holds.  Over budgets of 2^14 to 2^18
-#: pairs, the feasible scans at n = 12 ran fastest at 2^16, and a larger
-#: budget raises the peak at n = 14 above 2 MB.
+#: a chunk of R-sets with k free vertices holds max(1, _CHUNK >> k) of them.
+#: A chunk also costs 25-30 us whatever it holds.  Budgets of 2^14 to 2^18
+#: pairs scanned duality-small's inputs within noise of each other, and a
+#: larger budget raises the peak at n = 14 above 2 MB.
 _CHUNK = 1 << 16
 
 
@@ -117,47 +143,66 @@ class _Scan:
         # If f(v) > deg(v), then ({}, {v}) violates and the answer is 0 or
         # 1; the size-0 pair sees only the parities of f.  So clipping f(v)
         # to deg(v) + 1 or + 2, keeping its parity, keeps the answer.
-        f = [min(f[v], g.degree(v) + 2 - (f[v] - g.degree(v)) % 2) for v in range(n)]
+        deg = [g.degree(v) for v in range(n)]
+        f = [min(f[v], deg[v] + 2 - (f[v] - deg[v]) % 2) for v in range(n)]
         self.ids = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
         self.pc = np.bitwise_count(self.ids)
         self.base, self.by_t, self.inner, low = _set_tables(g, f, n, self.ids)
         # bits[u, R]: u's label as a mask, 0 for u in R (label n)
         one = np.min_scalar_type(1 << n).type(1)
         bits = (one << _component_labels(g, n)) & ((1 << n) - 1)
-        # x0[R] holds the components of G - R with odd f(D) and par[y, R]
+        # x0[R] holds the components of G - R with odd f(D), and par[y, R]
         # those joined to y by an odd number of edges
-        self.x0 = np.zeros(1 << n, one.dtype)
+        x0 = np.zeros(1 << n, one.dtype)
         self.par = np.zeros((n, 1 << n), one.dtype)
         for y in range(n):
             if f[y] % 2:
-                self.x0 ^= bits[y]
+                x0 ^= bits[y]
             for u in g.neighbors(y):  # one edge at a time
                 self.par[y] ^= bits[u]
         # c(R), the number of components of G - R
         comps = np.bitwise_count(np.bitwise_or.reduce(bits, axis=0, initial=0))
         # keep[R]: whether R may hold a violation, as delta = f(V) (mod 2)
         self.keep = low - comps < sum(f) % 2 - 1
+        # the roles a vertex may take in the least violating pair
+        s_ok = sum(1 << v for v in range(n) if deg[v] >= f[v] + 2)
+        t_ok = sum(1 << v for v in range(n) if f[v] >= 2)
+        self.roles, self.free, self.t_only = s_ok | t_ok, s_ok & t_ok, t_ok & ~s_ok
+        # xt[R]: x0[R] XOR par[y, R] over the T-only y in R, in place; the
+        # sets holding y are the upper halves of the blocks of 2^(y+1)
+        self.xt = x0
+        for y in range(n):
+            if self.t_only >> y & 1:
+                x0.reshape(-1, 2, 1 << y)[:, 1] ^= self.par[y].reshape(-1, 2, 1 << y)[:, 1]
 
     def chunks(self):
-        """Yield ``(k, R-sets of size k, pos)`` in ascending k, a chunk at a
-        time; row i of ``pos`` lists the vertices of R-set i in ascending order."""
-        shifts = np.arange(self.n, dtype=self.ids.dtype)
-        for k in range(self.n + 1):
-            layer = self.ids[(self.pc == k) & self.keep]
+        """Yield ``(k, R-sets, pos)`` for the kept R-sets whose vertices all
+        have a role, grouped by their number k of free vertices in ascending
+        k, each group in ascending |R|, a chunk at a time; row i of ``pos``
+        lists the free vertices of R-set i in ascending order."""
+        full = (1 << self.n) - 1
+        rs = self.ids[self.keep & (self.ids & (full ^ self.roles) == 0)]
+        rs = rs[np.argsort(self.pc[rs], kind="stable")]
+        free_count = self.pc[rs & self.free]
+        free = np.array([v for v in range(self.n) if self.free >> v & 1], self.ids.dtype)
+        for k in range(len(free) + 1):
+            group = rs[free_count == k]
             rows = max(1, _CHUNK >> k)
-            for lo in range(0, len(layer), rows):
-                rs = layer[lo:lo + rows]
+            for lo in range(0, len(group), rows):
+                chunk = group[lo:lo + rows]
                 # per chunk: nonzero's columns are views of its whole index buffer
-                pos = np.nonzero((rs[:, None] >> shifts) & 1)[1].reshape(len(rs), k)
-                yield k, rs, pos
+                pos = free[np.nonzero((chunk[:, None] >> free) & 1)[1]].reshape(len(chunk), k)
+                yield k, chunk, pos
 
     def violations(self, rs, pos, k: int):
-        """``(S, T)`` masks of the violating splits of the R-sets ``rs`` of size k."""
+        """``(S, T)`` masks of the violating splits of the R-sets ``rs`` with
+        k free vertices each, at the least |R| that holds one."""
         par = self.par[pos, rs[:, None]]
-        # row i of t and x: the splits whose T takes the positions set in i
-        t = np.zeros((1 << k, len(rs)), np.intp)
-        x = np.empty_like(t, self.x0.dtype)
-        x[0] = self.x0[rs]
+        # row i of t and x: the splits whose T takes the free positions set in i
+        t = np.empty((1 << k, len(rs)), np.intp)
+        t[0] = rs & self.t_only
+        x = np.empty_like(t, self.xt.dtype)
+        x[0] = self.xt[rs]
         for j in range(k):
             h = 1 << j
             np.bitwise_or(t[:h], 1 << pos[:, j], out=t[h:2 * h])
@@ -169,23 +214,30 @@ class _Scan:
         if d.min() >= 0:  # no violation, as in every chunk of a feasible scan
             return []
         split, col = np.nonzero(d < 0)
-        s = t[split, col]
-        return zip(s.tolist(), (s ^ rs[col]).tolist())
+        size = self.pc[rs[col]]
+        least = size == size.min()
+        s = t[split[least], col[least]]
+        return zip(s.tolist(), (s ^ rs[col[least]]).tolist())
 
 
 def least_violation(g, f) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The violating pair (S, T) least under (|S| + |T|, S, T), or ``None``.
 
-    S and T are sorted tuples and compare lexicographically.  The scan
-    stops after the first layer that holds a violation.
+    S and T are sorted tuples and compare lexicographically.  Once a
+    violation is found, each later chunk is cut to its R-sets no larger.
     """
     scan = _Scan(g, f)
-    least = None
+    least = None  # (|S| + |T|, S, T)
     for k, rs, pos in scan.chunks():
-        if least is not None and k > len(least[0]) + len(least[1]):
-            break
+        if least is not None:
+            if k > least[0]:  # every R-set from here on has |R| >= k
+                break
+            within = scan.pc[rs] <= least[0]
+            if not within.any():
+                continue
+            rs, pos = rs[within], pos[within]
         for pair in scan.violations(rs, pos, k):
-            members = tuple(tuple(v for v in range(g.n) if m >> v & 1) for m in pair)
-            if least is None or members < least:
-                least = members
-    return least
+            s, t = (tuple(v for v in range(g.n) if m >> v & 1) for m in pair)
+            if least is None or (len(s) + len(t), s, t) < least:
+                least = (len(s) + len(t), s, t)
+    return None if least is None else least[1:]

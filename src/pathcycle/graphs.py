@@ -153,9 +153,51 @@ def parse_int(field: str) -> int:
     raise ValueError(f"{field!r} is not a decimal integer")
 
 
+def _header(fields: list[str], lineno: int) -> tuple[int, int]:
+    """``(n, m)`` of a ``p`` line's fields, checked against the limits."""
+    if len(fields) != 3:
+        raise GraphFormatError("header must be 'p <n> <m>'", lineno)
+    try:
+        n, m = parse_int(fields[1]), parse_int(fields[2])
+    except ValueError:
+        raise GraphFormatError("non-integer header field", lineno) from None
+    if n < 0 or m < 0:
+        raise GraphFormatError("negative count in header", lineno)
+    if n > MAX_PARSE_VERTICES:
+        raise GraphFormatError(f"{n} vertices exceeds the limit of {MAX_PARSE_VERTICES}", lineno)
+    if m > MAX_PARSE_EDGES:
+        raise GraphFormatError(f"{m} edges exceeds the limit of {MAX_PARSE_EDGES}", lineno)
+    return n, m
+
+
+def _first_line(text: str) -> tuple[list[str], int] | None:
+    """The fields and line number of the first line that is neither blank
+    nor a comment, read without splitting the rest of ``text``."""
+    lineno = pos = 0
+    while pos <= len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        # numbered as text.splitlines() numbers them, which also breaks at
+        # \r, \f and others: the piece keeps its \n, so that a break before
+        # it still ends a line of its own
+        for line in text[pos:end + 1].splitlines():
+            lineno += 1
+            fields = line.split()
+            if fields and fields[0] != "c":
+                return fields, lineno
+        pos = end + 1
+    return None
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the ``p``/``e`` line format; errors name the offending line."""
     text = decode_ascii(text)
+    # a header over the limits fails before the text is split into lines, so
+    # that the parser's memory stays within a small multiple of the input's
+    first = _first_line(text)
+    if first is not None and first[0][0] == "p":
+        _header(*first)
     n = None
     m = None
     seen: set[tuple[int, int]] = set()
@@ -167,22 +209,7 @@ def parse_graph(text: str | bytes) -> Graph:
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError("second 'p' header", lineno)
-            if len(fields) != 3:
-                raise GraphFormatError("header must be 'p <n> <m>'", lineno)
-            try:
-                n, m = parse_int(fields[1]), parse_int(fields[2])
-            except ValueError:
-                raise GraphFormatError("non-integer header field", lineno) from None
-            if n < 0 or m < 0:
-                raise GraphFormatError("negative count in header", lineno)
-            if n > MAX_PARSE_VERTICES:
-                raise GraphFormatError(
-                    f"{n} vertices exceeds the limit of {MAX_PARSE_VERTICES}", lineno
-                )
-            if m > MAX_PARSE_EDGES:
-                raise GraphFormatError(
-                    f"{m} edges exceeds the limit of {MAX_PARSE_EDGES}", lineno
-                )
+            n, m = _header(fields, lineno)
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge line before 'p' header", lineno)

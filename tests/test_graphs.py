@@ -6,6 +6,7 @@ from pathcycle.cli import _parse_list
 from pathcycle.errors import GraphFormatError
 from pathcycle.graphs import (
     INFINITY,
+    MAX_PARSE_EDGES,
     MAX_PARSE_VERTICES,
     Graph,
     distance,
@@ -19,6 +20,7 @@ from pathcycle.tutte import parse_certificate
 from .conftest import cycle_graph, random_connected_graph
 
 import random
+import tracemalloc
 
 
 # -- construction invariants --------------------------------------------------
@@ -121,6 +123,33 @@ def test_parse_rejects_vertex_count_above_cap():
         parse_graph(f"p {MAX_PARSE_VERTICES + 1} 0\n")
     with pytest.raises(GraphFormatError, match="exceeds the limit"):
         parse_graph("p 1000000000 0\n")
+
+
+def test_parse_refuses_a_header_over_the_limit_before_splitting_lines():
+    # 12 MB of edges under a header over the edge limit: splitting them into
+    # lines first peaked at 131 MB
+    data = f"p 10 {MAX_PARSE_EDGES + 1}\n".encode() + b"e 0 1\n" * 2_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match=r"^line 1: \d+ edges exceeds the limit"):
+            parse_graph(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(data), peak
+
+
+def test_parse_names_the_header_line_as_splitlines_numbers_it():
+    # the header is found before the text is split, with its line counted
+    # across every break that str.splitlines knows
+    rng = random.Random(7)
+    for _ in range(200):
+        lead = "".join(rng.choice(["\n", "\r", "\r\n", "\x0c", "\x0b", "\x1c", "c x\n", " \t\n"])
+                       for _ in range(rng.randrange(6)))
+        text = lead + "p 3\ne 0 1\n"
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("p"))
+        with pytest.raises(GraphFormatError, match=rf"^line {lineno}: header must be"):
+            parse_graph(text)
 
 
 def test_parse_rejects_non_ascii_bytes():

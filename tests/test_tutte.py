@@ -254,56 +254,132 @@ def _members(n, mask):
 
 
 @pytest.mark.parametrize("n", [12, 14])
-def test_scan_chunks_bound_their_working_set(n):
-    # the chunks hold exactly the R-sets that the lower bound on delta keeps,
-    # and no split of a skipped R-set violates
+def test_scan_chunks_bound_their_working_set(monkeypatch, n):
+    # the chunks hold exactly the R-sets that the lower bound on delta keeps
+    # and whose vertices all have a role, and no split of a skipped one that
+    # the roles allow violates.  A budget of 2^8 pairs splits most groups
+    # into several chunks, and holds a single R-set with k > 8 free vertices;
+    # test_scan_working_set_at_the_largest_scan fills the real budget
+    monkeypatch.setattr(_certkernel, "_CHUNK", 1 << 8)
     rng = random.Random(n)
     g = random_connected_graph(rng, n, 0.3)
-    scan = _certkernel._Scan(g, degree_spec_from_terminals(g, []))
-    last, covered, sizes = 0, [], {}
+    # f = 2 puts the vertices of degree below 4 in T alone, and f = 1 on
+    # those of degree at most 2 leaves them no role
+    scan = _certkernel._Scan(g, DegreeSpec(tuple(1 if g.degree(v) <= 2 else 2 for v in range(n))))
+    assert scan.free and scan.t_only and scan.roles != (1 << n) - 1
+    last, covered, groups = (0, 0), [], {}
     for k, rs, pos in scan.chunks():
-        assert k >= last
-        last = k
+        sizes = scan.pc[rs].tolist()
+        # groups in ascending k, each in ascending |R|
+        assert (k, sizes[0]) >= last and sizes == sorted(sizes)
+        last = (k, sizes[-1])
         assert len(rs) << k <= max(_certkernel._CHUNK, 1 << k)
-        # also says that every R-set of the chunk has size k
-        assert pos.tolist() == [[v for v in range(n) if r >> v & 1] for r in rs.tolist()]
+        # also says that every R-set of the chunk has k free vertices
+        assert pos.tolist() == [[v for v in range(n) if (r & scan.free) >> v & 1] for r in rs.tolist()]
         covered += rs.tolist()
-        sizes.setdefault(k, []).append(len(rs))
-    # every chunk but the last of its layer is full: the budget, not a finer
-    # split, sets how many chunks a layer takes
-    for k, counts in sizes.items():
+        groups.setdefault(k, []).append(len(rs))
+    # every chunk but the last of its group is full: the budget, not a finer
+    # split, sets how many chunks a group takes
+    for k, counts in groups.items():
         assert all(c == max(1, _certkernel._CHUNK >> k) for c in counts[:-1]), (k, counts)
-    assert any(len(counts) > 1 for counts in sizes.values())
+    assert any(len(counts) > 1 for counts in groups.values())
     keep = scan.keep.tolist()
-    assert sorted(covered) == [r for r in range(1 << n) if keep[r]]
-    skipped = [r for r in range(1 << n) if not keep[r]]
+    allowed = [r for r in range(1 << n) if r & scan.roles == r]
+    assert sorted(covered) == [r for r in allowed if keep[r]]
+    skipped = [r for r in allowed if not keep[r]]
     assert skipped and covered
     for k in range(n + 1):
-        layer = [r for r in skipped if r.bit_count() == k]
+        group = [r for r in skipped if (r & scan.free).bit_count() == k]
         rows = max(1, _certkernel._CHUNK >> k)
-        for lo in range(0, len(layer), rows):
-            rs = scan.ids[layer[lo:lo + rows]]
-            pos = np.array([_members(n, r) for r in rs.tolist()], np.intp).reshape(len(rs), k)
+        for lo in range(0, len(group), rows):
+            rs = scan.ids[group[lo:lo + rows]]
+            pos = np.array([_members(n, r & scan.free) for r in rs.tolist()], np.intp).reshape(len(rs), k)
             assert not list(scan.violations(rs, pos, k))
 
 
 def test_scan_working_set_at_the_largest_scan():
     # MAX_SCAN_VERTICES states a peak under 2 MB there: the larger of the
-    # table build and the kept tables plus one full chunk of _CHUNK pairs
+    # table build and the kept tables plus one full chunk of _CHUNK pairs.
+    # With f = 2 and minimum degree 4, every vertex is free, so no role
+    # shrinks the chunks
     n = MAX_SCAN_VERTICES
-    rng = random.Random(4)
-    g = random_connected_graph(rng, n, 0.3)
-    kept = [e for e in g.edges if rng.random() < 0.5]
-    f = DegreeSpec(tuple(sum(v in e for e in kept) for v in range(n)))  # feasible
-    assert max(len(rs) << k for k, rs, _ in _certkernel._Scan(g, f).chunks()) == _certkernel._CHUNK
+    g = random_connected_graph(random.Random(1), n, 0.5)
+    f = DegreeSpec((2,) * n)
+    scan = _certkernel._Scan(g, f)
+    assert scan.free == (1 << n) - 1
+    assert max(len(rs) << k for k, rs, _ in scan.chunks()) == _certkernel._CHUNK
     tracemalloc.start()
     try:
         least = least_violation(g, f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert least is None  # so the scan ran every layer
+    assert least is None  # so the scan ran every chunk
     assert peak < 2 * 2**20, peak
+
+
+def test_least_violation_meets_the_role_conditions():
+    # the least violating pair cannot shrink: moving v out of S or T changes
+    # delta by an even amount, by at most e(v, T) - f(v) + a(v) or
+    # f(v) - deg_{G-S}(v) + a(v), where a(v) counts the components of
+    # G - (S u T) next to v.  So those are at least 2, which the scan's roles
+    # deg v >= f(v) + 2 and f(v) >= 2 weaken
+    rng = random.Random(71)
+    roles = set()
+    for i in range(150):
+        n = 1 + i % 8
+        shape = i // 8 % 3
+        if shape == 0:
+            g = random_connected_graph(rng, n, rng.uniform(0.3, 0.9))
+        elif shape == 1:
+            g = random_graph(rng, n, rng.uniform(0.1, 0.5))
+        else:
+            g = random_graph(rng, n, rng.uniform(0.4, 0.9))
+        if i // 24 % 2:  # general specs, now and then beyond the degree
+            f = DegreeSpec(tuple(rng.randrange(g.degree(v) + 4) for v in range(n)))
+        else:
+            f = degree_spec_from_terminals(g, rng.sample(range(n), 2 * rng.randrange(n // 2 + 1)))
+        least = naive_least_violation(g, f)
+        if least is None:
+            continue
+        s, t = map(set, least)
+        comps = [set(c) for c in components(g, s | t)]
+        for v in s | t:
+            e_t = sum(u in t for u in g.neighbors(v))
+            e_out = sum(u not in s and u not in t for u in g.neighbors(v))
+            a = sum(any(u in c for u in g.neighbors(v)) for c in comps)
+            if v in s:
+                assert e_t + a >= f[v] + 2, (g.edges, f.targets, least, v)
+                roles.add("S" if g.degree(v) > f[v] + 2 else "S, deg v = f(v) + 2")
+            else:
+                assert e_t + e_out - a <= f[v] - 2, (g.edges, f.targets, least, v)
+                roles.add("T" if f[v] > 2 else "T, f(v) = 2")
+            if f[v] > g.degree(v):
+                roles.add("f > deg")
+        if not is_connected(g):
+            roles.add("disconnected")
+    # both roles are met with equality, so neither can be narrowed
+    assert roles == {"S", "S, deg v = f(v) + 2", "T", "T, f(v) = 2", "f > deg", "disconnected"}
+
+
+def test_scan_reads_no_larger_set_after_a_violation(monkeypatch):
+    # f(V) odd on a connected graph: ({}, {}) violates, and every later chunk
+    # is cut to its R-sets of size 0, which leaves none
+    n = MAX_SCAN_VERTICES
+    g = random_connected_graph(random.Random(3), n, 0.8)
+    f = DegreeSpec((3,) + (2,) * (n - 1))
+    seen = []
+    violations = _certkernel._Scan.violations
+
+    def recorded(self, rs, pos, k):
+        found = list(violations(self, rs, pos, k))
+        seen.append((int(self.pc[rs].max()), bool(found)))
+        return found
+
+    monkeypatch.setattr(_certkernel._Scan, "violations", recorded)
+    assert least_violation(g, f) == ((), ())
+    assert len(list(_certkernel._Scan(g, f).chunks())) > 1
+    assert seen == [(0, True)]
 
 
 def _splits(n, r):
