@@ -7,15 +7,15 @@ For every removal set R = S u T and every split of R into (S, T), evaluates
 and finds the violations delta < 0: :func:`least_violation` gives the
 least violating pair under (|S| + |T|, S, T), or ``None`` when none exists.
 
-The 3^n pairs are evaluated with numpy.  Tables over all 2^n vertex sets X
-are built once per call: the number e(X) of edges inside X, f(X) - e(X),
-by_t(X) = deg(X) - 2 f(X) + e(X) and the skip bound's low(X) below.  As
-e(T, S) = e(R) - e(T) - e(S),
+The 3^n pairs are evaluated with numpy.  Tables over the 2^m vertex sets X
+of the m role vertices (below) are built once per call: the number e(X) of
+edges inside X, f(X) - e(X), by_t(X) = deg(X) - 2 f(X) + e(X) and the skip
+bound's low(X) below.  As e(T, S) = e(R) - e(T) - e(S),
 
     delta(S, T) + q(S, T) = f(R) - e(R) + by_t(T) + e(S).
 
-For q, ``rep[u, R]`` names the component of u in G - R by its lowest vertex,
-for every R at once.  Over bitmasks of these names, ``x0[R]`` holds the
+For q, ``bits[u, R]`` names the component of u in G - R by the bit of its
+lowest vertex, for every R at once.  ``x0[R]`` ORs in the bits of the
 components with odd f(D) and ``par[y, R]`` those joined to y by an odd
 number of edges, and q(S, T) is the popcount of x0[R] XOR par[y, R] over y
 in T.
@@ -50,24 +50,30 @@ v in S has e(v, T) + a(v) >= f(v) + 2, so deg v >= f(v) + 2, and every v in T
 has e(v, T) + e(v, V - R) - a(v) <= f(v) - 2, so f(v) >= 2, as a(v) is at
 most e(v, V - R).  The clipped f below has the same least pair, so this holds
 for it too.  A vertex may thus be in S only if deg v >= f(v) + 2 and in T
-only if f(v) >= 2; a vertex with both roles is free.  The scan reads only the
-R-sets whose vertices all have a role, and of each only the 2^k splits of its
-k free vertices, with its T-only vertices in T.  ``xt[R]`` holds x0[R] XOR
-par[y, R] over those y, so a split XORs in only its free vertices of T.
+only if f(v) >= 2; a vertex with both roles is free, and a vertex with
+neither is role-less.  The vertices are relabelled, the m role vertices
+first in ascending order, and the scan reads only the R-sets of role
+vertices, the 2^m sets X < 2^m, and of each only the 2^k splits of its k
+free vertices, with its T-only vertices in T.  No R-set removes a role-less
+vertex, so the components of G - roles, found by one search, give the
+component labels of R = all roles, and the other R-sets follow from it by
+putting the role vertices back one at a time.  ``xt[R]`` holds x0[R] XOR
+par[y, R] over the T-only y in R, so a split XORs in only its free vertices
+of T.
 
 The R-sets left are grouped by k in ascending k, each group in ascending
 |R|, and a chunk of a group is scanned at once, all its splits together.  As
 a chunk's |R| varies and groups do not come in ascending |R|, the least pair
-is kept across chunks; once it has size m, each later chunk is cut to its
-R-sets of size at most m, and a group with k > m is not read, as its R-sets
-have |R| >= k.
+is kept across chunks; once one is found, each later chunk is cut to its
+R-sets no larger than it, and a group whose k exceeds its size is not read,
+as its R-sets have |R| >= k.
 
-The tables kept for the scan take about 2n + 12 bytes per vertex set and
-about 2.4n more while they are built: 0.63 MB, and 1.14 MB at the peak, at
-n = 14.  A chunk of pairs adds at most about 0.9 MB, with the free positions
-of its R-sets built per chunk, so a whole scan at n = 14 peaks at 1.14 to
-1.29 MB (tracemalloc, 40 random feasible inputs), and at 1.52 MB with every
-vertex free and a chunk of _CHUNK pairs.
+The tables kept for the scan take about 2m + 12 bytes per set of role
+vertices and about 2.4n more while they are built: 0.63 MB, and 1.15 MB at
+the peak, at n = m = 14.  A chunk of pairs adds at most about 0.9 MB, with
+the free positions of its R-sets built per chunk, so a whole scan at n = 14
+peaks at 0.09 to 1.53 MB (tracemalloc, 40 random feasible inputs with m from
+10 to 14), and at 1.52 MB with every vertex free and a chunk of _CHUNK pairs.
 
 The scan reads only the graph and the degree spec and shares no code with
 :func:`pathcycle.tutte.evaluate_pair` or the solver, so it stays an
@@ -82,109 +88,129 @@ import numpy as np
 #: a chunk of R-sets with k free vertices holds max(1, _CHUNK >> k) of them.
 #: A chunk also costs 25-30 us whatever it holds.  Budgets of 2^14 to 2^18
 #: pairs scanned duality-small's inputs within noise of each other, and a
-#: larger budget raises the peak at n = 14 above 2 MB.
+#: larger budget raises the peak at n = 14, 1.52 MB with this one, above 2 MB.
 _CHUNK = 1 << 16
 
 
-def _set_tables(g, f, n: int, ids):
+def _set_tables(nbrs, deg, f, m: int, ids):
     """``(base, by_t, inner, low)``: f(X) - e(X), by_t(X), e(X) and the
-    module docstring's low(X) for every set X < 2^n.
+    module docstring's low(X) for every set X < 2^m of role vertices.
 
     Each doubling step adds vertex v to the sets below 2^v.  With f(v) at
     most deg(v) + 2, every entry is O(n^2) and int16 holds it.
     """
-    base, by_t, inner, low = (np.zeros(1 << n, np.int16) for _ in range(4))
-    for v in range(n):
+    base, by_t, inner, low = (np.zeros(1 << m, np.int16) for _ in range(4))
+    for v in range(m):
         h = 1 << v
-        below = sum(1 << u for u in g.neighbors(v) if u < v)
+        below = sum(1 << u for u in nbrs[v] if u < v)
         e_v = np.bitwise_count(ids[:h] & below)  # edges from v into X < 2^v
         np.subtract(base[:h], e_v, out=base[h:2 * h])
         base[h:2 * h] += f[v]
         np.add(inner[:h], e_v, out=inner[h:2 * h])
         np.add(by_t[:h], e_v, out=by_t[h:2 * h])
-        by_t[h:2 * h] += g.degree(v) - 2 * f[v]
+        by_t[h:2 * h] += deg[v] - 2 * f[v]
         np.subtract(low[:h], e_v, out=low[h:2 * h])
-        low[h:2 * h] += min(g.degree(v), 2 * f[v]) - f[v]
+        low[h:2 * h] += min(deg[v], 2 * f[v]) - f[v]
     return base, by_t, inner, low
 
 
-def _component_labels(g, n: int):
-    """``rep[u, R]``: the lowest vertex of u's component in G - R.
+def _component_bits(nbrs, m: int):
+    """``bits[u, R]``: the component of u in G - R as a one-bit mask, the
+    bit of its lowest vertex, for every set R < 2^m of role vertices; 0 for
+    u in R.
 
-    Entries of u in R hold n.  Columns are filled for the removal sets whose
-    lowest vertex outside R is v, for v from n-1 down; viewing the columns
-    as blocks of 2^(v+1), these sit at offset 2^v - 1 of each block, and
-    R + v sits at the block's last offset and is already done.  Putting v
-    back into G - (R + v) merges v with the components of its neighbours.
+    The column of R = all roles is read off one search over the role-less
+    vertices, which no R removes.  The other columns are filled for the
+    R-sets whose lowest role vertex outside R is v, for v from m-1 down;
+    viewing the columns as blocks of 2^(v+1), these sit at offset 2^v - 1 of
+    each block, and R + v sits at the block's last offset and is already
+    done.  Putting v back into G - (R + v) merges v with the components of
+    its neighbours.
     """
-    rep = np.full((n, 1 << n), n, np.uint8)
-    one = np.min_scalar_type(1 << n).type(1)
-    full = (1 << n) - 1
-    for v in reversed(range(n)):
-        blocks = rep.reshape(n, -1, 2 << v)
+    n = len(nbrs)
+    seed = [0] * n
+    for u in range(m, n):
+        if not seed[u]:
+            seed[u], stack = 1 << u, [u]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if w >= m and not seed[w]:
+                        seed[w] = 1 << u
+                        stack.append(w)
+    bits = np.zeros((n, 1 << m), np.min_scalar_type((1 << n) - 1))
+    bits[:, -1] = seed
+    for v in reversed(range(m)):
+        blocks = bits.reshape(n, -1, 2 << v)
         base, done = blocks[:, :, -1], blocks[:, :, (1 << v) - 1]
-        # the components next to v, as a mask of their labels, merge into
-        # one labelled by its lowest vertex
-        labels = base[list(g.neighbors(v))]
-        merged = np.bitwise_or.reduce(one << labels, axis=0) & full
-        least = np.minimum.reduce(labels, axis=0, initial=v)
-        hit = ((merged >> base) & 1).astype(bool)
-        np.copyto(done, base)
-        np.copyto(done, least, where=hit)
+        # v and the components next to it merge into one, whose bit is the
+        # least of theirs
+        merged = np.bitwise_or.reduce(base[nbrs[v]], axis=0, initial=1 << v)
+        least = merged & -merged
+        np.copyto(done, np.where(base & merged, least, base))
         done[v] = least
-    return rep
+    return bits
 
 
 class _Scan:
-    """The tables of one scan of ``g`` under ``f``, shared by its chunks."""
+    """The tables of one scan of ``g`` under ``f``, shared by its chunks.
+
+    Vertices are relabelled: the m role vertices come first, in ascending
+    order, and ``order[v]`` is the vertex of label v.  Every table is over
+    the 2^m sets of role vertices, as the scan reads no other.
+    """
 
     def __init__(self, g, f):
-        n = self.n = g.n
+        n = g.n
         # If f(v) > deg(v), then ({}, {v}) violates and the answer is 0 or
         # 1; the size-0 pair sees only the parities of f.  So clipping f(v)
         # to deg(v) + 1 or + 2, keeping its parity, keeps the answer.
         deg = [g.degree(v) for v in range(n)]
         f = [min(f[v], deg[v] + 2 - (f[v] - deg[v]) % 2) for v in range(n)]
-        self.ids = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+        # the roles a vertex may take in the least violating pair
+        s_ok = [deg[v] >= f[v] + 2 for v in range(n)]
+        t_ok = [f[v] >= 2 for v in range(n)]
+        roles = [v for v in range(n) if s_ok[v] or t_ok[v]]
+        self.order = roles + [v for v in range(n) if not (s_ok[v] or t_ok[v])]
+        m = self.m = len(roles)
+        label = {v: i for i, v in enumerate(self.order)}
+        nbrs = [[label[u] for u in g.neighbors(v)] for v in self.order]
+        deg, f = [deg[v] for v in self.order], [f[v] for v in self.order]
+        self.free = sum(1 << i for i, v in enumerate(roles) if s_ok[v] and t_ok[v])
+        self.t_only = sum(1 << i for i, v in enumerate(roles) if t_ok[v] and not s_ok[v])
+        self.ids = np.arange(1 << m, dtype=np.min_scalar_type((1 << m) - 1))
         self.pc = np.bitwise_count(self.ids)
-        self.base, self.by_t, self.inner, low = _set_tables(g, f, n, self.ids)
-        # bits[u, R]: u's label as a mask, 0 for u in R (label n)
-        one = np.min_scalar_type(1 << n).type(1)
-        bits = (one << _component_labels(g, n)) & ((1 << n) - 1)
+        self.base, self.by_t, self.inner, low = _set_tables(nbrs, deg, f, m, self.ids)
+        bits = _component_bits(nbrs, m)
         # x0[R] holds the components of G - R with odd f(D), and par[y, R]
         # those joined to y by an odd number of edges
-        x0 = np.zeros(1 << n, one.dtype)
-        self.par = np.zeros((n, 1 << n), one.dtype)
+        x0 = np.zeros(1 << m, bits.dtype)
+        self.par = np.zeros((m, 1 << m), bits.dtype)
         for y in range(n):
             if f[y] % 2:
                 x0 ^= bits[y]
-            for u in g.neighbors(y):  # one edge at a time
+        for y in range(m):
+            for u in nbrs[y]:  # one edge at a time
                 self.par[y] ^= bits[u]
         # c(R), the number of components of G - R
         comps = np.bitwise_count(np.bitwise_or.reduce(bits, axis=0, initial=0))
         # keep[R]: whether R may hold a violation, as delta = f(V) (mod 2)
         self.keep = low - comps < sum(f) % 2 - 1
-        # the roles a vertex may take in the least violating pair
-        s_ok = sum(1 << v for v in range(n) if deg[v] >= f[v] + 2)
-        t_ok = sum(1 << v for v in range(n) if f[v] >= 2)
-        self.roles, self.free, self.t_only = s_ok | t_ok, s_ok & t_ok, t_ok & ~s_ok
         # xt[R]: x0[R] XOR par[y, R] over the T-only y in R, in place; the
         # sets holding y are the upper halves of the blocks of 2^(y+1)
         self.xt = x0
-        for y in range(n):
+        for y in range(m):
             if self.t_only >> y & 1:
                 x0.reshape(-1, 2, 1 << y)[:, 1] ^= self.par[y].reshape(-1, 2, 1 << y)[:, 1]
 
     def chunks(self):
-        """Yield ``(k, R-sets, pos)`` for the kept R-sets whose vertices all
-        have a role, grouped by their number k of free vertices in ascending
-        k, each group in ascending |R|, a chunk at a time; row i of ``pos``
-        lists the free vertices of R-set i in ascending order."""
-        full = (1 << self.n) - 1
-        rs = self.ids[self.keep & (self.ids & (full ^ self.roles) == 0)]
+        """Yield ``(k, R-sets, pos)`` for the kept R-sets, grouped by their
+        number k of free vertices in ascending k, each group in ascending
+        |R|, a chunk at a time; row i of ``pos`` lists the free vertices of
+        R-set i in ascending order."""
+        rs = self.ids[self.keep]
         rs = rs[np.argsort(self.pc[rs], kind="stable")]
         free_count = self.pc[rs & self.free]
-        free = np.array([v for v in range(self.n) if self.free >> v & 1], self.ids.dtype)
+        free = np.array([v for v in range(self.m) if self.free >> v & 1], self.ids.dtype)
         for k in range(len(free) + 1):
             group = rs[free_count == k]
             rows = max(1, _CHUNK >> k)
@@ -237,7 +263,8 @@ def least_violation(g, f) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
                 continue
             rs, pos = rs[within], pos[within]
         for pair in scan.violations(rs, pos, k):
-            s, t = (tuple(v for v in range(g.n) if m >> v & 1) for m in pair)
+            # the role vertices keep their order, so these come out sorted
+            s, t = (tuple(scan.order[v] for v in range(scan.m) if x >> v & 1) for x in pair)
             if least is None or (len(s) + len(t), s, t) < least:
                 least = (len(s) + len(t), s, t)
     return None if least is None else least[1:]

@@ -139,11 +139,11 @@ def evaluate_pair(
 # -- exhaustive search ------------------------------------------------------
 
 #: Largest vertex count :func:`search_certificate` scans.  The scan's time
-#: grows as 3^n and its tables as 2^n sets of about 2n + 12 bytes, with about
-#: 2.4n more while they are built, and a chunk of pairs adds at most about
-#: 0.9 MB: a scan peaks under 2 MB at 14 vertices (1.52 MB at most measured,
-#: with every vertex free and a full chunk), and its tables alone take over
-#: 70 GB at 30.
+#: grows as 3^n and its tables as 2^m sets of about 2m + 12 bytes, m <= n
+#: being the vertices with a role, with about 2.4n more while they are
+#: built, and a chunk of pairs adds at most about 0.9 MB: a scan peaks under
+#: 2 MB at 14 vertices (1.53 MB at most measured, with m = 14 and a full
+#: chunk), and its tables alone take over 70 GB at m = 30.
 MAX_SCAN_VERTICES = 14
 
 

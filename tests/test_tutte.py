@@ -253,6 +253,24 @@ def _members(n, mask):
     return tuple(v for v in range(n) if mask >> v & 1)
 
 
+def _roles(g, f):
+    """The vertices that may be in the least violating pair, and those that
+    may be in S or in T, for a spec with f(v) <= deg(v) + 2 everywhere."""
+    s_ok = {v for v in range(g.n) if g.degree(v) >= f[v] + 2}
+    t_ok = {v for v in range(g.n) if f[v] >= 2}
+    return s_ok | t_ok, s_ok & t_ok
+
+
+def _relabel(scan, mask):
+    """A set of role vertices in g's labels as a set in the scan's labels."""
+    return sum(1 << i for i, v in enumerate(scan.order[:scan.m]) if mask >> v & 1)
+
+
+def _unlabel(scan, mask):
+    """A set in the scan's labels as a set in g's labels."""
+    return sum(1 << v for i, v in enumerate(scan.order) if mask >> i & 1)
+
+
 @pytest.mark.parametrize("n", [12, 14])
 def test_scan_chunks_bound_their_working_set(monkeypatch, n):
     # the chunks hold exactly the R-sets that the lower bound on delta keeps
@@ -265,8 +283,14 @@ def test_scan_chunks_bound_their_working_set(monkeypatch, n):
     g = random_connected_graph(rng, n, 0.3)
     # f = 2 puts the vertices of degree below 4 in T alone, and f = 1 on
     # those of degree at most 2 leaves them no role
-    scan = _certkernel._Scan(g, DegreeSpec(tuple(1 if g.degree(v) <= 2 else 2 for v in range(n))))
-    assert scan.free and scan.t_only and scan.roles != (1 << n) - 1
+    f = DegreeSpec(tuple(1 if g.degree(v) <= 2 else 2 for v in range(n)))
+    scan = _certkernel._Scan(g, f)
+    m = scan.m
+    # some vertex has no role, so the scan's labels differ from g's
+    assert scan.free and scan.t_only and len(scan.order) > m
+    roles, free = _roles(g, f)
+    assert scan.order[:m] == sorted(roles)
+    label = {v: i for i, v in enumerate(scan.order)}
     last, covered, groups = (0, 0), [], {}
     for k, rs, pos in scan.chunks():
         sizes = scan.pc[rs].tolist()
@@ -274,9 +298,13 @@ def test_scan_chunks_bound_their_working_set(monkeypatch, n):
         assert (k, sizes[0]) >= last and sizes == sorted(sizes)
         last = (k, sizes[-1])
         assert len(rs) << k <= max(_certkernel._CHUNK, 1 << k)
-        # also says that every R-set of the chunk has k free vertices
-        assert pos.tolist() == [[v for v in range(n) if (r & scan.free) >> v & 1] for r in rs.tolist()]
-        covered += rs.tolist()
+        # in g's labels, row i of pos lists the free vertices of R-set i in
+        # ascending order, so every R-set of the chunk has k free vertices
+        r_sets = [_members(n, _unlabel(scan, r)) for r in rs.tolist()]
+        assert [[scan.order[v] for v in row] for row in pos.tolist()] == [
+            [v for v in r if v in free] for r in r_sets
+        ]
+        covered += [_unlabel(scan, r) for r in rs.tolist()]
         groups.setdefault(k, []).append(len(rs))
     # every chunk but the last of its group is full: the budget, not a finer
     # split, sets how many chunks a group takes
@@ -284,17 +312,58 @@ def test_scan_chunks_bound_their_working_set(monkeypatch, n):
         assert all(c == max(1, _certkernel._CHUNK >> k) for c in counts[:-1]), (k, counts)
     assert any(len(counts) > 1 for counts in groups.values())
     keep = scan.keep.tolist()
-    allowed = [r for r in range(1 << n) if r & scan.roles == r]
-    assert sorted(covered) == [r for r in allowed if keep[r]]
-    skipped = [r for r in allowed if not keep[r]]
+    allowed = [r for r in range(1 << n) if set(_members(n, r)) <= roles]
+    assert sorted(covered) == [r for r in allowed if keep[_relabel(scan, r)]]
+    skipped = [r for r in allowed if not keep[_relabel(scan, r)]]
     assert skipped and covered
     for k in range(n + 1):
-        group = [r for r in skipped if (r & scan.free).bit_count() == k]
+        group = [r for r in skipped if len(free.intersection(_members(n, r))) == k]
         rows = max(1, _certkernel._CHUNK >> k)
         for lo in range(0, len(group), rows):
-            rs = scan.ids[group[lo:lo + rows]]
-            pos = np.array([_members(n, r & scan.free) for r in rs.tolist()], np.intp).reshape(len(rs), k)
+            part = group[lo:lo + rows]
+            rs = scan.ids[[_relabel(scan, r) for r in part]]
+            pos = np.array(
+                [[label[v] for v in _members(n, r) if v in free] for r in part], np.intp
+            ).reshape(len(part), k)
             assert not list(scan.violations(rs, pos, k))
+
+
+@pytest.mark.parametrize(
+    "edges, targets, parities",
+    [
+        # roles only at 3 and 6; G - {3, 6} has the components {0, 1} and
+        # {4} with even f(D) and {2}, {5} and {7} with odd f(D)
+        (
+            [(3, 6), (0, 3), (0, 1), (1, 6), (2, 3), (3, 4), (5, 6), (6, 7), (2, 6)],
+            (1, 1, 1, 3, 0, 1, 2, 1),
+            {0, 1},
+        ),
+        # no vertex has a role, so only ({}, {}) is read; f(D) is odd on
+        # {0, 1, 2} and even on {3, 4}
+        ([(0, 1), (1, 2), (3, 4)], (1, 1, 1, 1, 1), {0, 1}),
+        # the subdivided star under W = {1, 2, 3, 4}: only its centre has a
+        # role, and ({0}, {}) leaves four odd components
+        ([(0, 1), (0, 2), (0, 3), (0, 4)], (2, 1, 1, 1, 1), {1}),
+    ],
+    ids=["odd-and-even-components", "no-role", "one-role"],
+)
+def test_scan_tables_span_the_role_vertices(edges, targets, parities):
+    # the tables hold only the 2^m sets of role vertices; the components
+    # of G - roles, which every R-set leaves, seed the component masks
+    n = len(targets)
+    g, f = Graph(n, edges), DegreeSpec(targets)
+    scan = _certkernel._Scan(g, f)
+    roles, _ = _roles(g, f)
+    m = scan.m
+    assert m == len(roles) and scan.order[:m] == sorted(roles) and sorted(scan.order) == list(range(n))
+    for table in (scan.ids, scan.pc, scan.base, scan.by_t, scan.inner, scan.keep, scan.xt):
+        assert table.shape == (1 << m,)
+    assert scan.par.shape == (m, 1 << m)
+    rest = components(g, roles)
+    assert len(rest) > 1 and {sum(f[v] for v in c) % 2 for c in rest} == parities
+    least = naive_least_violation(g, f)
+    assert least is not None
+    assert least_violation(g, f) == least
 
 
 def test_scan_working_set_at_the_largest_scan():
@@ -417,13 +486,27 @@ def _small_scan_inputs(rng, count, top):
 
 
 def test_scan_bound_is_sound():
-    # every split of a skipped R-set has delta >= 0, by the pair evaluator
+    # every split of a skipped R-set of role vertices has delta >= 0, by the
+    # pair evaluator; an R-set that holds a role-less vertex has no table
+    # entry, and no split of it is the least violating pair
     rng = random.Random(59)
     seen = set()
     for g, f in _small_scan_inputs(rng, 420, 7):
-        keep = _certkernel._Scan(g, f).keep.tolist()
+        scan = _certkernel._Scan(g, f)
+        roles, _ = _roles(g, f)
+        assert scan.order[:scan.m] == sorted(roles)
+        keep = scan.keep.tolist()
+        least = naive_least_violation(g, f)
         for r in range(1 << g.n):
-            if keep[r]:
+            if not set(_members(g.n, r)) <= roles:
+                seen.add("role-less")
+                for s, t in _splits(g.n, r):
+                    assert (
+                        evaluate_pair(g, f, s, t).delta >= 0
+                        or (len(s) + len(t), s, t) > (len(least[0]) + len(least[1]), *least)
+                    ), (g.edges, f.targets, s, t)
+                continue
+            if keep[_relabel(scan, r)]:
                 seen.add("kept")
                 continue
             seen.add("skipped")
@@ -432,21 +515,28 @@ def test_scan_bound_is_sound():
         seen.add("f(V) odd" if f.total % 2 else "f(V) even")
         if g.n and not is_connected(g):
             seen.add("disconnected")
-    assert seen == {"kept", "skipped", "f(V) odd", "f(V) even", "disconnected"}
+    assert seen == {"kept", "skipped", "role-less", "f(V) odd", "f(V) even", "disconnected"}
 
 
 def test_scan_keeps_exactly_the_sets_its_bound_does_not_clear():
     # the skip rule, recomputed naively: R is kept iff
-    # sum_{v in R} min(deg v, 2 f(v)) - f(R) - e(R) - c(R) < f(V) % 2 - 1
+    # sum_{v in R} min(deg v, 2 f(v)) - f(R) - e(R) - c(R) < f(V) % 2 - 1,
+    # with a table entry for each R-set of role vertices and no other
     rng = random.Random(67)
     for g, f in _small_scan_inputs(rng, 420, 7):
-        keep = _certkernel._Scan(g, f).keep.tolist()
+        scan = _certkernel._Scan(g, f)
+        roles, _ = _roles(g, f)
+        assert scan.order[:scan.m] == sorted(roles)
+        keep = scan.keep.tolist()
+        assert len(keep) == 1 << scan.m
         for r in range(1 << g.n):
             members = _members(g.n, r)
+            if not set(members) <= roles:
+                continue
             bound = sum(min(g.degree(v), 2 * f[v]) - f[v] for v in members)
             bound -= sum(u in members and v in members for u, v in g.edges)
             bound -= len(components(g, members))
-            assert keep[r] == (bound < f.total % 2 - 1), (g.edges, f.targets, members)
+            assert keep[_relabel(scan, r)] == (bound < f.total % 2 - 1), (g.edges, f.targets, members)
 
 
 def test_deficiency_parity():
