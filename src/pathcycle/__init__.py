@@ -18,7 +18,6 @@ from .discharge import (
 from .errors import GraphFormatError, UndecidedAtScaleError
 from .factor import (
     DegreeSpec,
-    FFactor,
     GadgetGraph,
     PathCycleSystem,
     brute_force_f_factor,
@@ -73,7 +72,6 @@ __all__ = [
     "ChargeState",
     "DegreeSpec",
     "DischargeReport",
-    "FFactor",
     "FamilyInstance",
     "GadgetGraph",
     "Graph",

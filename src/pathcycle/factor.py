@@ -7,7 +7,8 @@ reduction to perfect matching (W. T. Tutte, Canad. J. Math. 6, 1954): each
 vertex v becomes deg(v) edge ports plus deg(v) - f(v) core vertices, ports
 joined completely to cores of the same vertex, and each original edge joins
 its two ports.  Perfect matchings of the gadget correspond to f-factors of
-the original graph.
+the original graph.  A factor is a spanning subgraph, so every function
+here returns it as a :class:`Graph` on the host's vertices.
 
 :func:`brute_force_f_factor` is an independent exhaustive oracle used to
 cross-check the matching pipeline.
@@ -21,9 +22,6 @@ from typing import Iterable
 from .errors import UndecidedAtScaleError
 from .graphs import Graph, as_vertex_set
 from .matching import maximum_matching_mates
-
-Edge = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class DegreeSpec:
@@ -137,31 +135,13 @@ def build_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
     return GadgetGraph(g, f, tuple(start), tuple(adj))
 
 
-@dataclass(frozen=True)
-class FFactor:
-    """A spanning subgraph given by its edge set, on vertices 0..n-1."""
-
-    n: int
-    edges: tuple[Edge, ...]
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def matches_spec(self, f: DegreeSpec) -> bool:
-        return self.degrees() == list(f.targets)
-
-
-def extract_f_factor(gg: GadgetGraph, mate: list[int]) -> FFactor:
+def extract_f_factor(gg: GadgetGraph, mate: list[int]) -> Graph:
     """Read the factor off the mate array of a perfect gadget matching."""
     if len(mate) != len(gg.adj) or -1 in mate:
         raise ValueError("matching is not perfect on the gadget")
     # v's port p toward a larger neighbour x lists its partner last, and
     # edge (v, x) is chosen iff the two are matched.  v and x ascending
-    # meet the edges in the sorted order of host.edges
+    # meet the host's edges in ascending order
     host, start, adj = gg.host, gg.start, gg.adj
     chosen = []
     for v in range(host.n):
@@ -170,8 +150,8 @@ def extract_f_factor(gg: GadgetGraph, mate: list[int]) -> FFactor:
             if x > v and mate[p] == adj[p][-1]:
                 chosen.append((v, x))
             p += 1
-    factor = FFactor(host.n, tuple(chosen))
-    if not factor.matches_spec(gg.spec):
+    factor = Graph._trusted(host.n, chosen)
+    if list(map(len, factor._adj)) != list(gg.spec.targets):
         raise AssertionError("gadget matching produced a degree-violating factor")
     return factor
 
@@ -243,19 +223,14 @@ class PathCycleSystem:
                     raise AssertionError(f"terminal {v} lies on a cycle")
 
 
-def decompose_system(factor: FFactor, w: Iterable[int]) -> PathCycleSystem:
+def decompose_system(factor: Graph, w: Iterable[int]) -> PathCycleSystem:
     """Split a degree-(1 on W, 2 elsewhere) factor into paths and cycles."""
-    n = factor.n
-    ws = tuple(sorted(set(w)))
+    n, adj = factor.n, factor._adj
+    ws = as_vertex_set(factor, w, "terminal set")
     wset = set(ws)
-    deg = factor.degrees()
     expected = [1 if v in wset else 2 for v in range(n)]
-    if deg != expected:
+    if list(map(len, adj)) != expected:
         raise ValueError("factor degrees do not match the terminal spec")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in factor.edges:
-        adj[u].append(v)
-        adj[v].append(u)
     seen = [False] * n
     paths: list[tuple[int, ...]] = []
     cycles: list[tuple[int, ...]] = []
@@ -285,8 +260,7 @@ def decompose_system(factor: FFactor, w: Iterable[int]) -> PathCycleSystem:
     for v in range(n):
         if seen[v]:
             continue
-        nbrs = sorted(adj[v])
-        trail = walk(v, nbrs[0])  # min vertex first, toward smaller neighbor
+        trail = walk(v, adj[v][0])  # min vertex first, toward smaller neighbor
         cycles.append(tuple(trail))
     return PathCycleSystem(
         tuple(sorted(paths, key=lambda p: p[0])),
@@ -297,7 +271,7 @@ def decompose_system(factor: FFactor, w: Iterable[int]) -> PathCycleSystem:
 # -- solver ----------------------------------------------------------------
 
 
-def find_f_factor(g: Graph, f: DegreeSpec) -> FFactor | None:
+def find_f_factor(g: Graph, f: DegreeSpec) -> Graph | None:
     """Some f-factor of g, or None when none exists (gadget + matching)."""
     _check_spec_length(g, f)
     if f.total % 2 != 0:
@@ -336,7 +310,7 @@ MAX_ORACLE_EDGES = 64
 
 def brute_force_f_factor(
     g: Graph, f: DegreeSpec, *, max_edges: int = 24
-) -> FFactor | None:
+) -> Graph | None:
     """Exhaustive f-factor search with degree pruning; independent of the
     matching pipeline.  Raises UndecidedAtScaleError beyond ``max_edges``,
     and ValueError when ``max_edges`` is negative or exceeds
@@ -353,24 +327,24 @@ def brute_force_f_factor(
             f"{m} edges exceeds the brute-force bound {max_edges}"
         )
     _check_spec_length(g, f)
-    if f.total % 2 != 0 or any(f[v] > g.degree(v) for v in range(g.n)):
+    targets, remaining = f.targets, list(map(len, g._adj))
+    if f.total % 2 != 0 or any(t > d for t, d in zip(targets, remaining)):
         return None
     edges = g.edges
-    remaining = [g.degree(v) for v in range(g.n)]
     chosen_deg = [0] * g.n
-    picked: list[Edge] = []
+    picked: list[tuple[int, int]] = []
 
     def feasible(v: int) -> bool:
-        return chosen_deg[v] <= f[v] <= chosen_deg[v] + remaining[v]
+        return chosen_deg[v] <= targets[v] <= chosen_deg[v] + remaining[v]
 
     def rec(i: int) -> bool:
         if i == m:
-            return all(chosen_deg[v] == f[v] for v in range(g.n))
+            return chosen_deg == list(targets)
         u, v = edges[i]
         remaining[u] -= 1
         remaining[v] -= 1
         # try including the edge
-        if chosen_deg[u] < f[u] and chosen_deg[v] < f[v]:
+        if chosen_deg[u] < targets[u] and chosen_deg[v] < targets[v]:
             chosen_deg[u] += 1
             chosen_deg[v] += 1
             picked.append((u, v))
@@ -387,5 +361,5 @@ def brute_force_f_factor(
         return False
 
     if rec(0):
-        return FFactor(g.n, tuple(picked))
+        return Graph._trusted(g.n, picked)
     return None

@@ -1,8 +1,11 @@
 """Simple undirected graphs on dense integer vertices, plus text I/O.
 
-Vertices are always 0..n-1.  A graph's fields are all set by its
-constructor and nothing is cached on it later, so graphs are immutable and
-safe to share between threads.  The text format is line oriented ASCII:
+Vertices are always 0..n-1.  A graph is stored once: its vertex count and
+its ascending adjacency lists, both set by its constructor.  Its edge tuple
+and edge count are read off those lists on each access, and nothing is
+cached on a graph later, so graphs are immutable and safe to share between
+threads.  A factor, a spanning subgraph, is a graph like any other.  The
+text format is line oriented ASCII:
 
     c optional comment
     p <n> <m>
@@ -47,7 +50,7 @@ class Graph:
     indices outside 0..n-1.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -76,9 +79,8 @@ class Graph:
         """Set the fields from distinct pairs u < v in 0..n-1; read in sorted
         order, the pairs fill every adjacency list in ascending order."""
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in sorted(edges):
             adj[u].append(v)
             adj[v].append(u)
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
@@ -86,8 +88,13 @@ class Graph:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The pairs u < v in ascending order, derived anew on each access."""
+        return tuple([(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v])
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -103,10 +110,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self._adj == other._adj  # one list per vertex: n is its length
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

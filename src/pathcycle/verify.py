@@ -161,7 +161,9 @@ def edge_connectivity(g: Graph) -> tuple[int, tuple[Edge, ...]]:
         value, found = _max_flow_unit(g, sources, sinks, best, parent)
         if value < best:
             best, side = value, found
-    cut = tuple(e for e in g.edges if (e[0] in side) != (e[1] in side))
+    cut = tuple(sorted(
+        (u, v) if u < v else (v, u) for u in side for v in g.neighbors(u) if v not in side
+    ))
     if len(cut) != best:
         raise AssertionError("residual cut size must equal the flow value")
     return best, cut

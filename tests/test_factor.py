@@ -8,7 +8,6 @@ from pathcycle.errors import UndecidedAtScaleError
 from pathcycle.factor import (
     MAX_ORACLE_EDGES,
     DegreeSpec,
-    FFactor,
     brute_force_f_factor,
     build_gadget,
     decompose_system,
@@ -157,7 +156,7 @@ def test_gadget_rejects_oversized_f():
 
 def test_extract_requires_perfect_matching():
     gg = build_gadget(cycle_graph(4), DegreeSpec((1, 1, 2, 2)))
-    path = FFactor(4, ((0, 3), (1, 2), (2, 3)))  # 0-3-2-1
+    path = Graph(4, ((0, 3), (1, 2), (2, 3)))  # 0-3-2-1
     perfect = _mates_from_factor(gg, path)
     assert extract_f_factor(gg, perfect) == path
     for mate in (perfect[:2], perfect[:-2] + [-1, -1]):
@@ -198,7 +197,7 @@ def test_extract_chooses_an_edge_only_when_its_ports_are_matched():
     # chosen, and vertices 0 and 1 fall short of f
     g = cycle_graph(4)
     gg = build_gadget(g, DegreeSpec((2, 2, 2, 2)))
-    mate = _mates_from_factor(gg, FFactor(4, g.edges))
+    mate = _mates_from_factor(gg, Graph(4, g.edges))
     assert extract_f_factor(gg, mate).edges == g.edges
     port = gg.start[0]  # toward neighbour 1
     assert mate[port] == gg.start[1]
@@ -207,7 +206,7 @@ def test_extract_chooses_an_edge_only_when_its_ports_are_matched():
         extract_f_factor(gg, mate)
 
 
-def _mates_from_factor(gg, factor: FFactor) -> list[int]:
+def _mates_from_factor(gg, factor: Graph) -> list[int]:
     """The perfect gadget matching of an f-factor, as a mate array: ports of
     factor edges are matched across, and each vertex's other ports to its
     cores in index order."""
@@ -242,7 +241,11 @@ def test_gadget_soundness_both_ways():
         gg = build_gadget(g, f)
         mate = _mates_from_factor(gg, factor)
         assert all(v in gg.adj[u] and mate[v] == u for u, v in enumerate(mate))
-        assert extract_f_factor(gg, mate).edges == tuple(sorted(factor.edges))
+        extracted = extract_f_factor(gg, mate)
+        assert extracted.edges == tuple(sorted(factor.edges))
+        # both routes give the one graph type, equal and hashing alike
+        assert type(factor) is type(extracted) is Graph
+        assert factor == extracted and hash(factor) == hash(extracted)
         done += 1
 
 
@@ -251,31 +254,38 @@ def test_gadget_soundness_both_ways():
 
 def test_decompose_single_cycle():
     g = cycle_graph(6)
-    system = decompose_system(FFactor(6, g.edges), [])
+    system = decompose_system(Graph(6, g.edges), [])
     assert system.paths == () and system.cycles == ((0, 1, 2, 3, 4, 5),)
 
 
 def test_decompose_path_in_k4():
-    system = decompose_system(FFactor(4, ((0, 2), (2, 3), (1, 3))), [0, 1])
+    system = decompose_system(Graph(4, ((0, 2), (2, 3), (1, 3))), [0, 1])
     assert system.paths == ((0, 2, 3, 1),) and system.cycles == ()
 
 
 def test_decompose_mixed_components():
     # a 4-cycle on 0..3 plus the single-edge path 4-5
     edges = ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5))
-    system = decompose_system(FFactor(6, edges), [4, 5])
+    system = decompose_system(Graph(6, edges), [4, 5])
     assert system.paths == ((4, 5),)
     assert system.cycles == ((0, 1, 2, 3),)
 
 
 def test_decompose_rejects_degree_mismatch():
     with pytest.raises(ValueError, match="degrees"):
-        decompose_system(FFactor(3, ((0, 1),)), [])
+        decompose_system(Graph(3, ((0, 1),)), [])
+    # a terminal outside the factor's vertices is named, not read as a
+    # degree mismatch
+    c4 = cycle_graph(4)
+    with pytest.raises(ValueError, match="terminal set: vertex 7 outside 0..3"):
+        decompose_system(c4, [0, 7])
+    with pytest.raises(ValueError, match="terminal set: vertex -1 outside 0..3"):
+        decompose_system(c4, [-1, 2])
 
 
 def test_canonical_cycle_starts_at_minimum_toward_smaller_neighbor():
     g = cycle_graph(5)
-    system = decompose_system(FFactor(5, g.edges), [])
+    system = decompose_system(Graph(5, g.edges), [])
     assert system.cycles == ((0, 1, 2, 3, 4),)
 
 
@@ -335,7 +345,7 @@ def test_brute_force_infeasible_c5():
 def test_brute_force_perfect_matching_of_k4():
     factor = brute_force_f_factor(complete_graph(4), DegreeSpec((1, 1, 1, 1)))
     assert factor is not None
-    assert sorted(factor.degrees()) == [1, 1, 1, 1]
+    assert [factor.degree(v) for v in range(4)] == [1, 1, 1, 1]
 
 
 def test_brute_force_bound():
